@@ -15,12 +15,17 @@
      "area": "persist",
      "git_rev": "<rev passed via --git-rev>",
      "scale": "small",
+     "sha256_kernel": "sha-ni",
      "generated_by": "bench/main.exe",
      "experiments": [
        { "id": "durability", "scale": "small",
          "metrics": [ { "name": "...", "value": 123.4, "unit": "ops/s" } ] }
      ]
    }
+
+   [sha256_kernel] is a host fact: which SHA-256 compression kernel
+   ({!Fbhash.Sha256.kernel}) hashed every chunk, since write-side numbers
+   differ by an order of magnitude between the two.
 
    Committing these files per PR records the repo's performance
    trajectory: diffing two revisions' BENCH_*.json answers "what did this
@@ -110,6 +115,8 @@ let render_area ~git_rev ~scale area experiments =
   add_str buf git_rev;
   Buffer.add_string buf ",\n  \"scale\": ";
   add_str buf scale;
+  Buffer.add_string buf ",\n  \"sha256_kernel\": ";
+  add_str buf Fbhash.Sha256.kernel;
   Buffer.add_string buf ",\n  \"generated_by\": \"bench/main.exe\"";
   Buffer.add_string buf ",\n  \"experiments\": [";
   List.iteri

@@ -122,6 +122,8 @@ let table4 _scale =
           fun () ->
             ignore (Forkbase.Fobject.of_chunk (Fbchunk.Chunk.decode str_encoded)) );
         ("CryptoHash", fun () -> ignore (Fbhash.Sha256.digest content));
+        ( "CryptoHashOCaml",
+          fun () -> ignore (Fbhash.Sha256.Reference.digest content) );
         ( "RollingHash",
           fun () -> String.iter (Fbhash.Rolling.Cyclic.roll roll) content );
         ( "Persistence",
@@ -155,6 +157,15 @@ let table4 _scale =
           Printf.sprintf "%.2f" (find "1KB" /. 1000.0);
           Printf.sprintf "%.2f" (find "20KB" /. 1000.0);
         ])
-    [ "Serialization"; "Deserialization"; "CryptoHash"; "RollingHash"; "Persistence" ];
+    [
+      "Serialization";
+      "Deserialization";
+      "CryptoHash";
+      "CryptoHashOCaml";
+      "RollingHash";
+      "Persistence";
+    ];
   Printf.printf
-    "(RollingHash applies only to chunkable types; String puts skip it.)\n%!"
+    "(CryptoHash is the %s kernel; CryptoHashOCaml the pure-OCaml reference.\n\
+    \ RollingHash applies only to chunkable types; String puts skip it.)\n%!"
+    Fbhash.Sha256.kernel

@@ -135,7 +135,9 @@ let put ?(branch = default_branch) ?(context = "") t ~key value =
     match Branch_table.head tbl branch with
     | None -> []
     | Some head -> (
-        match Fobject.load t.store head with Some o -> [ o ] | None -> [])
+        match Fobject.load t.store head with
+        | Some o -> [ (head, o) ]
+        | None -> [])
   in
   let uid, recorded = commit_object t ~key ~context ~base_objs:bases value in
   Branch_table.set_head tbl branch uid;
@@ -158,7 +160,7 @@ let put_at ?(context = "") t ~key ~base value =
       if base_obj.Fobject.key <> key then Error (Unknown_version base)
       else begin
         let uid, recorded =
-          commit_object t ~key ~context ~base_objs:[ base_obj ] value
+          commit_object t ~key ~context ~base_objs:[ (base, base_obj) ] value
         in
         notify t [ recorded ];
         Ok uid
@@ -275,7 +277,7 @@ let merge_versions t ~resolver uid1 uid2 =
       let left = Fobject.value t.store t.cfg o1 in
       let right = Fobject.value t.store t.cfg o2 in
       match Merge.merge_values t.store t.cfg ~resolver ~base ~left ~right with
-      | Merge.Merged v -> Ok (v, [ o1; o2 ])
+      | Merge.Merged v -> Ok (v, [ (uid1, o1); (uid2, o2) ])
       | Merge.Conflicts cs -> Error (Merge_conflicts cs))
 
 let merge ?(resolver = Merge.Manual) ?(context = "") t ~key ~target ~ref_ =

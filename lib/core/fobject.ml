@@ -40,13 +40,13 @@ let of_chunk chunk =
 let uid t = Chunk.cid (to_chunk t)
 
 let of_value ~key ?(context = "") ~bases value =
-  let depth = 1 + List.fold_left (fun d b -> max d b.depth) (-1) bases in
+  let depth = 1 + List.fold_left (fun d (_, b) -> max d b.depth) (-1) bases in
   {
     kind = Fbtypes.Value.kind value;
     key;
     data = Fbtypes.Value.payload value;
     depth;
-    bases = List.map uid bases;
+    bases = List.map fst bases;
     context;
   }
 

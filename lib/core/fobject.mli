@@ -25,9 +25,15 @@ val v :
   t
 
 val of_value :
-  key:string -> ?context:string -> bases:t list -> Fbtypes.Value.t -> t
+  key:string ->
+  ?context:string ->
+  bases:(Fbchunk.Cid.t * t) list ->
+  Fbtypes.Value.t ->
+  t
 (** Build the successor FObject of [bases] holding [value]; [depth] is
-    1 + the maximum base depth. *)
+    1 + the maximum base depth.  Each base comes with its uid, which the
+    caller already holds (it loaded the base by it), so no base meta
+    chunk is re-hashed. *)
 
 val to_chunk : t -> Fbchunk.Chunk.t
 val of_chunk : Fbchunk.Chunk.t -> t

@@ -1,6 +1,9 @@
-(* SHA-256 over native ints: all word arithmetic is done in the low 32 bits
-   of OCaml's 63-bit ints and masked with [mask32], which avoids Int32
-   boxing on every operation. *)
+(* SHA-256 over native ints.  The reference compression does all word
+   arithmetic in the low 32 bits of OCaml's 63-bit ints, masked with
+   [mask32], which avoids Int32 boxing on every operation.  When the CPU
+   has the SHA extensions, whole blocks go to the C kernel in
+   sha256_stubs.c instead; both kernels share the buffering and padding
+   below and the same 8-word [int array] state. *)
 
 let mask32 = 0xFFFFFFFF
 
@@ -17,7 +20,7 @@ let k =
      0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
-type ctx = {
+type state = {
   h : int array; (* 8 words *)
   block : Bytes.t; (* 64-byte block buffer *)
   mutable fill : int; (* bytes currently buffered in [block] *)
@@ -38,15 +41,16 @@ let init () =
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
-let compress ctx =
-  let w = ctx.w in
-  let b = ctx.block in
+(* The reference compression of the block at [src.[off .. off + 63]]. *)
+let compress st src off =
+  let w = st.w in
   for i = 0 to 15 do
+    let j = off + (4 * i) in
     w.(i) <-
-      (Char.code (Bytes.unsafe_get b (4 * i)) lsl 24)
-      lor (Char.code (Bytes.unsafe_get b ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get b ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get b ((4 * i) + 3))
+      (Char.code (String.unsafe_get src j) lsl 24)
+      lor (Char.code (String.unsafe_get src (j + 1)) lsl 16)
+      lor (Char.code (String.unsafe_get src (j + 2)) lsl 8)
+      lor Char.code (String.unsafe_get src (j + 3))
   done;
   for i = 16 to 63 do
     let s0 =
@@ -60,7 +64,7 @@ let compress ctx =
       ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
       land mask32)
   done;
-  let h = ctx.h in
+  let h = st.h in
   let a = ref h.(0)
   and bb = ref h.(1)
   and c = ref h.(2)
@@ -96,68 +100,125 @@ let compress ctx =
   h.(6) <- (h.(6) + !g) land mask32;
   h.(7) <- (h.(7) + !hh) land mask32
 
-let feed_sub ctx blit src off len =
-  ctx.total <- ctx.total + len;
-  let off = ref off and len = ref len in
-  if ctx.fill > 0 then begin
-    let take = min !len (64 - ctx.fill) in
-    blit src !off ctx.block ctx.fill take;
-    ctx.fill <- ctx.fill + take;
-    off := !off + take;
-    len := !len - take;
-    if ctx.fill = 64 then begin
-      compress ctx;
-      ctx.fill <- 0
+(* A kernel compresses [n] whole blocks of [src] starting at [off]; the
+   caller guarantees [off + 64 * n <= String.length src]. *)
+let reference_blocks st src off n =
+  for i = 0 to n - 1 do
+    compress st src (off + (64 * i))
+  done
+
+external hw_available : unit -> bool = "fb_sha256_hw_available" [@@noalloc]
+
+external hw_compress : int array -> string -> int -> int -> unit
+  = "fb_sha256_hw_compress"
+[@@noalloc]
+
+let kernel, selected_blocks =
+  if hw_available () then
+    ("sha-ni", fun st src off n -> hw_compress st.h src off n)
+  else ("ocaml", reference_blocks)
+
+let check_range fn ~length ~off ~len =
+  if off < 0 || len < 0 || off > length - len then
+    invalid_arg (Printf.sprintf "Sha256.%s: off %d len %d outside 0..%d" fn off
+                   len length)
+
+module type S = sig
+  type ctx
+
+  val init : unit -> ctx
+  val feed_string : ctx -> ?off:int -> ?len:int -> string -> unit
+  val feed_bytes : ctx -> ?off:int -> ?len:int -> Bytes.t -> unit
+  val finalize : ctx -> string
+  val digest : string -> string
+  val hex : string -> string
+end
+
+module Make (K : sig
+  val blocks : state -> string -> int -> int -> unit
+end) : S = struct
+  type ctx = state
+
+  let init = init
+
+  let compress_block ctx = K.blocks ctx (Bytes.unsafe_to_string ctx.block) 0 1
+
+  (* Top up a partly filled block first; every run of whole blocks after
+     that goes to the kernel in one call, straight from [src]. *)
+  let feed_sub ctx src off len =
+    ctx.total <- ctx.total + len;
+    let off = ref off and len = ref len in
+    if ctx.fill > 0 then begin
+      let take = min !len (64 - ctx.fill) in
+      Bytes.blit_string src !off ctx.block ctx.fill take;
+      ctx.fill <- ctx.fill + take;
+      off := !off + take;
+      len := !len - take;
+      if ctx.fill = 64 then begin
+        compress_block ctx;
+        ctx.fill <- 0
+      end
+    end;
+    let n = !len / 64 in
+    if n > 0 then K.blocks ctx src !off n;
+    let rest = !len - (64 * n) in
+    if rest > 0 then begin
+      Bytes.blit_string src (!off + (64 * n)) ctx.block 0 rest;
+      ctx.fill <- rest
     end
-  end;
-  while !len >= 64 do
-    blit src !off ctx.block 0 64;
-    compress ctx;
-    off := !off + 64;
-    len := !len - 64
-  done;
-  if !len > 0 then begin
-    blit src !off ctx.block 0 !len;
-    ctx.fill <- !len
-  end
 
-let feed_string ctx ?(off = 0) ?len s =
-  let len = match len with Some l -> l | None -> String.length s - off in
-  feed_sub ctx Bytes.blit_string s off len
+  let feed_string ctx ?(off = 0) ?len s =
+    let length = String.length s in
+    let len = match len with Some l -> l | None -> length - off in
+    check_range "feed_string" ~length ~off ~len;
+    feed_sub ctx s off len
 
-let feed_bytes ctx ?(off = 0) ?len b =
-  let len = match len with Some l -> l | None -> Bytes.length b - off in
-  feed_sub ctx Bytes.blit b off len
+  (* The kernels only read [b] during this call, so viewing it as a
+     string is safe. *)
+  let feed_bytes ctx ?(off = 0) ?len b =
+    let length = Bytes.length b in
+    let len = match len with Some l -> l | None -> length - off in
+    check_range "feed_bytes" ~length ~off ~len;
+    feed_sub ctx (Bytes.unsafe_to_string b) off len
 
-let finalize ctx =
-  let total_bits = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  Bytes.set ctx.block ctx.fill '\x80';
-  let fill = ctx.fill + 1 in
-  if fill > 56 then begin
-    Bytes.fill ctx.block fill (64 - fill) '\000';
-    compress ctx;
-    Bytes.fill ctx.block 0 56 '\000'
-  end
-  else Bytes.fill ctx.block fill (56 - fill) '\000';
-  for i = 0 to 7 do
-    Bytes.set ctx.block (56 + i)
-      (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
-  done;
-  compress ctx;
-  let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
-  done;
-  Bytes.unsafe_to_string out
+  let finalize ctx =
+    let total_bits = ctx.total * 8 in
+    (* Padding: 0x80, zeros, 64-bit big-endian length. *)
+    Bytes.set ctx.block ctx.fill '\x80';
+    let fill = ctx.fill + 1 in
+    if fill > 56 then begin
+      Bytes.fill ctx.block fill (64 - fill) '\000';
+      compress_block ctx;
+      Bytes.fill ctx.block 0 56 '\000'
+    end
+    else Bytes.fill ctx.block fill (56 - fill) '\000';
+    for i = 0 to 7 do
+      Bytes.set ctx.block (56 + i)
+        (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
+    done;
+    compress_block ctx;
+    let out = Bytes.create 32 in
+    for i = 0 to 7 do
+      let v = ctx.h.(i) in
+      Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xff));
+      Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
+      Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
+      Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xff))
+    done;
+    Bytes.unsafe_to_string out
 
-let digest s =
-  let ctx = init () in
-  feed_string ctx s;
-  finalize ctx
+  let digest s =
+    let ctx = init () in
+    feed_sub ctx s 0 (String.length s);
+    finalize ctx
 
-let hex s = Fbutil.Hex.encode (digest s)
+  let hex s = Fbutil.Hex.encode (digest s)
+end
+
+module Reference = Make (struct
+  let blocks = reference_blocks
+end)
+
+include Make (struct
+  let blocks = selected_blocks
+end)

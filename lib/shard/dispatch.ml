@@ -482,7 +482,7 @@ let base_objects t ~key ~branch =
   | Some uid -> (
       let src = Shard_map.owner t.map key in
       match fetch_chunks_anywhere t ~src [ uid ] with
-      | [ (chunk, _) ] -> [ Fobject.of_chunk chunk ]
+      | [ (chunk, _) ] -> [ (uid, Fobject.of_chunk chunk) ]
       | _ -> [])
 
 let put_scattered ?(branch = "master") ?(context = "") t ~key content =

@@ -17,11 +17,22 @@ let nist_vectors =
       "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592" );
   ]
 
+(* The selected compression kernel (SHA-NI on hosts that have it) and the
+   pure-OCaml reference must both match the published vectors and agree
+   with each other everywhere. *)
+let kernels : (string * (module Fbhash.Sha256.S)) list =
+  [ ("selected", (module Fbhash.Sha256)); ("reference", (module Fbhash.Sha256.Reference)) ]
+
 let test_vectors () =
   List.iter
-    (fun (input, expected) ->
-      Alcotest.(check string) ("sha256 of " ^ String.escaped input) expected (sha_hex input))
-    nist_vectors
+    (fun (name, (module H : Fbhash.Sha256.S)) ->
+      List.iter
+        (fun (input, expected) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s kernel: sha256 of %s" name (String.escaped input))
+            expected (H.hex input))
+        nist_vectors)
+    kernels
 
 let test_million_a () =
   Alcotest.(check string)
@@ -66,6 +77,120 @@ let qcheck_bytes_feed =
       let ctx = Fbhash.Sha256.init () in
       Fbhash.Sha256.feed_bytes ctx (Bytes.of_string s);
       Fbhash.Sha256.finalize ctx = Fbhash.Sha256.digest s)
+
+(* Deterministic, non-repeating bytes so every block differs. *)
+let pattern n = String.init n (fun i -> Char.chr ((i * 131 + (i lsr 8)) land 0xff))
+
+let test_kernel_lengths () =
+  let check n =
+    let s = pattern n in
+    let expected = Fbhash.Sha256.Reference.digest s in
+    Alcotest.(check string)
+      (Printf.sprintf "digest len %d" n)
+      (Fbutil.Hex.encode expected)
+      (Fbutil.Hex.encode (Fbhash.Sha256.digest s));
+    (* Fed in 7-byte pieces the buffered path carries most blocks. *)
+    List.iter
+      (fun (name, (module H : Fbhash.Sha256.S)) ->
+        let ctx = H.init () in
+        let off = ref 0 in
+        while !off < n do
+          let len = min 7 (n - !off) in
+          H.feed_string ctx ~off:!off ~len s;
+          off := !off + len
+        done;
+        Alcotest.(check string)
+          (Printf.sprintf "%s kernel, 7-byte feeds, len %d" name n)
+          (Fbutil.Hex.encode expected)
+          (Fbutil.Hex.encode (H.finalize ctx)))
+      kernels
+  in
+  for n = 0 to 300 do
+    check n
+  done;
+  check 65536
+
+(* Cut [s] at random points and feed the pieces, alternating
+   [feed_string] and [feed_bytes], each through an offset into a padded
+   copy so the kernels read from the middle of a larger buffer. *)
+let split_feed (module H : Fbhash.Sha256.S) s cuts =
+  let n = String.length s in
+  let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+  let ctx = H.init () in
+  let padded = "<<<" ^ s ^ ">>>" in
+  let padded_b = Bytes.of_string padded in
+  let prev = ref 0 in
+  List.iteri
+    (fun i c ->
+      let off = 3 + !prev and len = c - !prev in
+      if i land 1 = 0 then H.feed_string ctx ~off ~len padded
+      else H.feed_bytes ctx ~off ~len padded_b;
+      prev := c)
+    (cuts @ [ n ]);
+  H.finalize ctx
+
+let qcheck_kernel_splits =
+  QCheck.Test.make ~name:"sha256 kernels agree with reference on random splits"
+    ~count:300
+    QCheck.(pair (string_of_size (Gen.int_bound 1000)) (small_list (int_bound 1000)))
+    (fun (s, cuts) ->
+      let expected = Fbhash.Sha256.Reference.digest s in
+      List.for_all (fun (_, h) -> split_feed h s cuts = expected) kernels)
+
+(* A bad range must be rejected before any state changes: once the kernel
+   reads the caller's buffer directly it would otherwise read out of
+   bounds, and a negative length would corrupt the running total. *)
+let test_feed_ranges_rejected () =
+  let module H = Fbhash.Sha256 in
+  let s = "hello" in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let ctx = H.init () in
+  H.feed_string ctx "abc";
+  rejects "len -5" (fun () -> H.feed_string ctx ~off:0 ~len:(-5) s);
+  rejects "off 10 len 0" (fun () -> H.feed_string ctx ~off:10 ~len:0 s);
+  rejects "off 6" (fun () -> H.feed_string ctx ~off:6 s);
+  rejects "off -1" (fun () -> H.feed_string ctx ~off:(-1) s);
+  rejects "off 3 len 3" (fun () -> H.feed_string ctx ~off:3 ~len:3 s);
+  rejects "len max_int" (fun () -> H.feed_string ctx ~off:1 ~len:max_int s);
+  let b = Bytes.of_string s in
+  rejects "bytes len -5" (fun () -> H.feed_bytes ctx ~off:0 ~len:(-5) b);
+  rejects "bytes off 10 len 0" (fun () -> H.feed_bytes ctx ~off:10 ~len:0 b);
+  rejects "bytes off 2 len 4" (fun () -> H.feed_bytes ctx ~off:2 ~len:4 b);
+  (* Empty ranges at either end are fine. *)
+  H.feed_string ctx ~off:5 ~len:0 s;
+  H.feed_bytes ctx ~off:0 ~len:0 b;
+  Alcotest.(check string) "rejected feeds left the context untouched"
+    (sha_hex "abc")
+    (Fbutil.Hex.encode (H.finalize ctx))
+
+(* On a host whose CPU advertises the SHA extensions, falling back to the
+   pure-OCaml kernel would silently cost an order of magnitude. *)
+let test_kernel_selected () =
+  let kernel = Fbhash.Sha256.kernel in
+  Alcotest.(check bool)
+    ("known kernel name " ^ kernel)
+    true
+    (List.mem kernel [ "sha-ni"; "ocaml" ]);
+  if not (Sys.file_exists "/proc/cpuinfo") then Alcotest.skip ();
+  let ic = open_in "/proc/cpuinfo" in
+  let rec has_sha_ni () =
+    match input_line ic with
+    | exception End_of_file -> false
+    | line ->
+        let is_flags =
+          String.length line >= 5 && String.sub line 0 5 = "flags"
+        in
+        (is_flags && List.mem "sha_ni" (String.split_on_char ' ' line))
+        || has_sha_ni ()
+  in
+  let advertised = has_sha_ni () in
+  close_in ic;
+  if advertised then
+    Alcotest.(check string) "cpuinfo lists sha_ni, so the kernel is" "sha-ni" kernel
 
 (* Rolling hashes: sliding property — the value after rolling a window of
    bytes equals the value computed fresh on just that window. *)
@@ -201,6 +326,12 @@ let () =
           Alcotest.test_case "feed with offsets" `Quick test_feed_offsets;
           q qcheck_incremental;
           q qcheck_bytes_feed;
+          Alcotest.test_case "bad feed ranges rejected" `Quick test_feed_ranges_rejected;
+          Alcotest.test_case "kernel vs reference, lengths 0-300 and 64 KiB" `Quick
+            test_kernel_lengths;
+          q qcheck_kernel_splits;
+          Alcotest.test_case "SHA-NI kernel selected when advertised" `Quick
+            test_kernel_selected;
         ] );
       ( "rolling",
         [
