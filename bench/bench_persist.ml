@@ -1,6 +1,7 @@
 (* Durability experiments (lib/persist): the cost of journaled puts
-   against the in-memory engine, recovery (reopen) time with and without a
-   checkpoint, and online compaction throughput.  Not a paper figure —
+   against the in-memory engine, durable read latency warm and right after
+   a reopen, recovery (reopen) time with and without a checkpoint, and
+   online compaction throughput.  Not a paper figure —
    ForkBase's evaluation runs on a durable store throughout; this isolates
    what that durability costs in our reproduction. *)
 
@@ -31,6 +32,54 @@ let fill db n =
     ()
   done
 
+(* Durable reads of a 128-byte value (one meta chunk) and a 64 KiB page
+   (meta chunk plus a POS-Tree), warm and as the first read after a reopen,
+   i.e. with the chunk log's read cache empty. *)
+let durable_gets scale =
+  U.section "Durable get latency";
+  let rng = Random.State.make [| 14 |] in
+  let page = String.init 65536 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let value = String.make 128 'v' in
+  with_temp_dir @@ fun dir ->
+  let p = Persist.open_db dir in
+  let db = Persist.db p in
+  let (_ : Cid.t) = Db.put db ~key:"value" (Db.str value) in
+  let (_ : Cid.t) = Db.put db ~key:"page" (Db.blob db page) in
+  Persist.close p;
+  let read_value db =
+    match Db.get db ~key:"value" with
+    | Ok v when v = Db.str value -> ()
+    | _ -> failwith "durable get: wrong value"
+  in
+  let read_page db =
+    match Db.get db ~key:"page" with
+    | Ok (Fbtypes.Value.Blob b) when Fbtypes.Fblob.to_string b = page -> ()
+    | _ -> failwith "durable get: wrong page"
+  in
+  U.row_header [ "read"; "warm us/get"; "after reopen us/get" ];
+  List.iter
+    (fun (label, name, read, runs) ->
+      let after_reopen =
+        List.init (U.pick scale 20 100) (fun _ ->
+            let p = Persist.open_db dir in
+            let t, () = U.time_it (fun () -> read (Persist.db p)) in
+            Persist.close p;
+            t)
+      in
+      let after_reopen = U.percentile (U.sorted_of_list after_reopen) 0.5 in
+      let p = Persist.open_db dir in
+      let warm = U.time_avg ~runs (fun () -> read (Persist.db p)) in
+      Persist.close p;
+      U.row [ label; U.us warm; U.us after_reopen ];
+      Bench_json.metric ~name:("durable_get_" ^ name ^ "_warm")
+        ~value:(warm *. 1e6) ~unit:"us";
+      Bench_json.metric ~name:("durable_get_" ^ name ^ "_after_reopen")
+        ~value:(after_reopen *. 1e6) ~unit:"us")
+    [
+      ("128 B value", "value_128b", read_value, U.pick scale 20_000 200_000);
+      ("64 KiB page", "page_64k", read_page, U.pick scale 500 5_000);
+    ]
+
 let durability scale =
   let n = U.pick scale 2_000 50_000 in
 
@@ -57,6 +106,8 @@ let durability scale =
       ("journal, fsync per op", "journal_fsync_per_op_puts_per_sec", 1);
       ("journal, fsync per 64 ops", "journal_fsync_per_64_puts_per_sec", 64);
     ];
+
+  durable_gets scale;
 
   U.section "Recovery time (reopen + journal replay)";
   with_temp_dir @@ fun dir ->

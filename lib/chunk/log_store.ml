@@ -1,10 +1,17 @@
-type entry = { off : int; len : int }
+(* [cached] holds the decoded chunk while it is resident in the read
+   cache.  Chunks are immutable and content-addressed, so a resident copy
+   can never go stale. *)
+type entry = { off : int; len : int; mutable cached : Chunk.t option }
+
+let cache_budget = 32 * 1024 * 1024
 
 type t = {
   file : string;
   oc : out_channel;
   ic : in_channel;
   index : entry Cid.Tbl.t;
+  resident : entry Queue.t; (* cached entries, oldest insertion first *)
+  mutable cached_bytes : int; (* sum of [len] over [resident] *)
   stats : Chunk_store.stats;
   sync_every : int;
   mutable unsynced : int;
@@ -74,7 +81,7 @@ let replay t =
                 t.stats.chunks <- t.stats.chunks + 1;
                 t.stats.bytes <- t.stats.bytes + len
               end;
-              Cid.Tbl.replace t.index cid { off = data_off; len };
+              Cid.Tbl.replace t.index cid { off = data_off; len; cached = None };
               t.tail <- pos_in t.ic
         end
   done
@@ -90,6 +97,8 @@ let open_ ?(sync_every = 512) file =
       oc = stdout (* replaced below, after the torn tail is dropped *);
       ic;
       index = Cid.Tbl.create 4096;
+      resident = Queue.create ();
+      cached_bytes = 0;
       stats = Chunk_store.fresh_stats ();
       sync_every;
       unsynced = 0;
@@ -138,6 +147,21 @@ let crash t =
 
 let path t = t.file
 let file_size t = t.tail
+let cached_bytes t = t.cached_bytes
+
+(* Make [e]'s chunk resident, evicting the oldest insertions until it fits
+   in [cache_budget]. *)
+let cache t e chunk =
+  if e.len <= cache_budget then begin
+    while t.cached_bytes + e.len > cache_budget do
+      let victim = Queue.pop t.resident in
+      victim.cached <- None;
+      t.cached_bytes <- t.cached_bytes - victim.len
+    done;
+    e.cached <- Some chunk;
+    t.cached_bytes <- t.cached_bytes + e.len;
+    Queue.push e t.resident
+  end
 
 let put t chunk =
   let cid = Chunk.cid chunk in
@@ -152,7 +176,9 @@ let put t chunk =
      Buffer.output_buffer t.oc header;
      output_string t.oc encoded;
      t.tail <- data_off + len;
-     Cid.Tbl.replace t.index cid { off = data_off; len };
+     let e = { off = data_off; len; cached = None } in
+     Cid.Tbl.replace t.index cid e;
+     cache t e chunk;
      t.stats.chunks <- t.stats.chunks + 1;
      t.stats.bytes <- t.stats.bytes + len;
      t.unsynced <- t.unsynced + 1;
@@ -166,13 +192,16 @@ let get t cid =
   | None ->
       t.stats.misses <- t.stats.misses + 1;
       None
-  | Some { off; len } ->
+  | Some { cached = Some _ as hit; _ } -> hit
+  | Some e ->
       (* The write channel may still buffer the record. *)
       Stdlib.flush t.oc;
-      seek_in t.ic off;
-      let body = Bytes.create len in
-      really_input t.ic body 0 len;
-      Some (Chunk.decode (Bytes.unsafe_to_string body))
+      seek_in t.ic e.off;
+      let body = Bytes.create e.len in
+      really_input t.ic body 0 e.len;
+      let chunk = Chunk.decode (Bytes.unsafe_to_string body) in
+      cache t e chunk;
+      Some chunk
 
 let store t =
   {

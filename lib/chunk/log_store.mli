@@ -6,7 +6,16 @@
     The file format is a sequence of records, each a varint length followed
     by the serialized chunk.  Opening an existing file replays the log to
     rebuild the index, skipping a trailing torn record if the process died
-    mid-append. *)
+    mid-append.
+
+    Reads are served from a bounded in-memory copy of the chunks most
+    recently appended or read ({!cache_budget} bytes, FIFO by insertion)
+    before the file is touched.  Chunks are immutable and
+    content-addressed, so a resident copy never goes stale; the flip side
+    is that a live log keeps serving its cached bytes after the file rots
+    underneath it — on-disk damage is caught at the next {!open_} (or by
+    an fsck after reopening), not by a cache hit.  The cache belongs to
+    one [t]: a reopened or freshly compacted log starts empty. *)
 
 type t
 
@@ -45,3 +54,11 @@ val sync : t -> unit
 
 val path : t -> string
 val file_size : t -> int
+
+val cache_budget : int
+(** Bound on the serialized bytes of chunks resident in a log's read
+    cache (32 MiB).  A chunk larger than the budget is never cached. *)
+
+val cached_bytes : t -> int
+(** Serialized bytes currently resident in the read cache; never exceeds
+    {!cache_budget}. *)

@@ -312,21 +312,23 @@ module Make (E : ELEM) = struct
   let of_root store cfg root_cid =
     let root_chunk = Store.get_exn store root_cid in
     let root_ref = ref_of_chunk root_cid root_chunk in
-    let rec go acc refs =
-      (* [acc] holds the levels above [refs], topmost first. *)
-      let chunk = Store.get_exn store refs.(0).cid in
-      if chunk.Chunk.tag = E.leaf_tag then Array.of_list (refs :: acc)
+    let rec go acc refs first =
+      (* [acc] holds the levels above [refs], topmost first; [first] is the
+         already-fetched chunk of [refs.(0)]. *)
+      if first.Chunk.tag = E.leaf_tag then Array.of_list (refs :: acc)
       else
         let children =
           Array.concat
             (Array.to_list
-               (Array.map
-                  (fun r -> decode_index (Store.get_exn store r.cid))
+               (Array.mapi
+                  (fun i r ->
+                    decode_index
+                      (if i = 0 then first else Store.get_exn store r.cid))
                   refs))
         in
-        go (refs :: acc) children
+        go (refs :: acc) children (Store.get_exn store children.(0).cid)
     in
-    of_levels store cfg (go [] [| root_ref |])
+    of_levels store cfg (go [] [| root_ref |] root_chunk)
 
   (* ------------------------------------------------------------------ *)
   (* Accessors                                                           *)

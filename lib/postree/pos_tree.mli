@@ -55,7 +55,9 @@ module Make (E : ELEM) : sig
 
   val of_root : Fbchunk.Chunk_store.t -> Tree_config.t -> Fbchunk.Cid.t -> t
   (** Load an existing tree.  Index nodes are decoded eagerly (they are the
-      tree's skeleton); leaf payloads are fetched on demand.
+      tree's skeleton); leaf payloads are fetched on demand.  Each index
+      chunk is fetched once, plus leaf 0 to find where the index levels
+      end.
       @raise Fbchunk.Chunk_store.Missing_chunk if the skeleton is incomplete. *)
 
   val root : t -> Fbchunk.Cid.t

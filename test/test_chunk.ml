@@ -251,6 +251,98 @@ let test_log_store_bitrot_is_typed () =
       Log_store.close log;
       Alcotest.fail "bit rot went undetected"
 
+(* The read cache never holds more than its budget, and whatever it serves
+   — hit or miss — is byte-identical to what a fresh open reads from the
+   file.  1 MiB chunks, 40 of them: more than the budget, so early chunks
+   are evicted by later appends and come back through read misses. *)
+let test_log_store_cache_budget () =
+  with_temp @@ fun path ->
+  let chunk_of i = blob (Printf.sprintf "%03d" i ^ String.make (1 lsl 20) (Char.chr i)) in
+  let n = 40 in
+  Alcotest.(check bool) "workload exceeds the budget" true
+    (n * (1 lsl 20) > Log_store.cache_budget);
+  let log = Log_store.open_ path in
+  let s = Log_store.store log in
+  let within_budget () =
+    if Log_store.cached_bytes log > Log_store.cache_budget then
+      Alcotest.failf "cached %d bytes, budget %d" (Log_store.cached_bytes log)
+        Log_store.cache_budget
+  in
+  let cids =
+    List.init n (fun i ->
+        let cid = s.Store.put (chunk_of i) in
+        within_budget ();
+        cid)
+  in
+  Log_store.flush log;
+  let fresh = Log_store.open_ path in
+  let from_file = Log_store.store fresh in
+  let read_all order =
+    List.iter
+      (fun (i, cid) ->
+        let live = s.Store.get cid in
+        within_budget ();
+        Alcotest.(check bool) (Printf.sprintf "chunk %d as written" i) true
+          (live = Some (chunk_of i));
+        Alcotest.(check bool) (Printf.sprintf "chunk %d as on disk" i) true
+          (live = from_file.Store.get cid))
+      order
+  in
+  let indexed = List.mapi (fun i cid -> (i, cid)) cids in
+  read_all indexed;
+  read_all (List.rev indexed);
+  Alcotest.(check bool) "cache is in use" true (Log_store.cached_bytes log > 0);
+  Log_store.close fresh;
+  Log_store.close log
+
+(* [gets] counts every lookup, hit or miss; [misses] counts only cids the
+   log does not hold — a read served from the file is not a miss. *)
+let test_log_store_cache_counters () =
+  with_temp @@ fun path ->
+  let log = Log_store.open_ path in
+  let s = Log_store.store log in
+  let a = s.Store.put (blob "counted") in
+  let absent = Chunk.cid (blob "never stored") in
+  let counts s = ((s.Store.stats ()).Store.gets, (s.Store.stats ()).Store.misses) in
+  ignore (s.Store.get a);
+  Alcotest.(check (pair int int)) "cached hit" (1, 0) (counts s);
+  ignore (s.Store.get absent);
+  Alcotest.(check (pair int int)) "absent cid" (2, 1) (counts s);
+  Log_store.close log;
+  let log = Log_store.open_ path in
+  let s = Log_store.store log in
+  Alcotest.(check int) "reopened log starts cold" 0 (Log_store.cached_bytes log);
+  Alcotest.(check bool) "read from the file" true (s.Store.get a = Some (blob "counted"));
+  Alcotest.(check (pair int int)) "file read is not a miss" (1, 0) (counts s);
+  Alcotest.(check bool) "now resident" true (Log_store.cached_bytes log > 0);
+  Alcotest.(check bool) "hit" true (s.Store.get a = Some (blob "counted"));
+  ignore (s.Store.get absent);
+  Alcotest.(check (pair int int)) "hit and absent" (3, 1) (counts s);
+  Alcotest.(check bool) "mem" true (s.Store.mem a && not (s.Store.mem absent));
+  Log_store.close log
+
+(* The cache's caveat: a live log serves its resident copy even after the
+   file rots underneath it.  The rot is still refused by the next open. *)
+let test_log_store_cached_rot_refused_at_reopen () =
+  with_temp @@ fun path ->
+  let log = Log_store.open_ path in
+  let s = Log_store.store log in
+  let cid = s.Store.put (blob "first") in
+  Log_store.flush log;
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+  ignore (Unix.lseek fd 1 Unix.SEEK_SET) (* the tag byte of record 0 *);
+  ignore (Unix.write_substring fd "Z" 0 1);
+  Unix.close fd;
+  Alcotest.(check bool) "live log serves its cached copy" true
+    (s.Store.get cid = Some (blob "first"));
+  Log_store.close log;
+  match Log_store.open_ path with
+  | exception Log_store.Corrupt_log { off; _ } ->
+      Alcotest.(check int) "names the record offset" 0 off
+  | log ->
+      Log_store.close log;
+      Alcotest.fail "rot under a cached chunk went undetected at reopen"
+
 let prop_store_roundtrip =
   QCheck.Test.make ~name:"mem store get . put = id" ~count:200
     QCheck.(pair (oneofl [ Chunk.Blob; Chunk.List; Chunk.Map ]) string)
@@ -288,5 +380,11 @@ let () =
           Alcotest.test_case "torn tail recovery" `Quick test_log_store_torn_tail;
           Alcotest.test_case "bit rot is a typed error" `Quick
             test_log_store_bitrot_is_typed;
+          Alcotest.test_case "read cache stays within budget" `Quick
+            test_log_store_cache_budget;
+          Alcotest.test_case "read cache keeps get/miss counters" `Quick
+            test_log_store_cache_counters;
+          Alcotest.test_case "cached chunk rot refused at reopen" `Quick
+            test_log_store_cached_rot_refused_at_reopen;
         ] );
     ]

@@ -73,6 +73,32 @@ let test_of_root () =
   Alcotest.(check (list string)) "reload" elems (T.to_list t');
   Alcotest.(check int) "height preserved" (T.height t) (T.height t')
 
+(* [of_root] fetches every index chunk exactly once, plus one probe of leaf
+   0 to find where the index levels end. *)
+let test_of_root_get_count () =
+  List.iter
+    (fun height ->
+      let store = Store.mem_store () in
+      let t =
+        match
+          List.find_opt
+            (fun t -> T.height t = height)
+            (List.map (fun n -> T.of_list store cfg (mk_elems n)) [ 40; 80; 160; 320; 640; 1280; 2560 ])
+        with
+        | Some t -> t
+        | None -> Alcotest.failf "no test tree of height %d" height
+      in
+      let index_chunks = T.chunk_count t - Array.length (T.leaf_cids t) in
+      let before = (store.Store.stats ()).Store.gets in
+      let t' = T.of_root store cfg (T.root t) in
+      Alcotest.(check int)
+        (Printf.sprintf "gets at height %d" height)
+        (index_chunks + 1)
+        ((store.Store.stats ()).Store.gets - before);
+      Alcotest.(check bool) "same tree" true (T.equal t t');
+      Alcotest.(check (list string)) "same content" (T.to_list t) (T.to_list t'))
+    [ 2; 3 ]
+
 let test_get_slice () =
   let store = Store.mem_store () in
   let elems = mk_elems 777 in
@@ -388,6 +414,8 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "of_root" `Quick test_of_root;
+          Alcotest.test_case "of_root fetches each index chunk once" `Quick
+            test_of_root_get_count;
           Alcotest.test_case "get/slice" `Quick test_get_slice;
           Alcotest.test_case "bounds" `Quick test_out_of_bounds;
           Alcotest.test_case "append grow" `Quick test_append_grow;
