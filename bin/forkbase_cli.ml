@@ -13,7 +13,6 @@
      forkbase verify <key> [--branch b]
      forkbase fsck
      forkbase stats
-     forkbase checkpoint
      forkbase gc [--dry-run]
      forkbase serve [--port p]
      forkbase follow --of HOST:PORT [--port p]
@@ -144,14 +143,10 @@ let merge_cmd =
   let run key target ref_branch resolver =
     with_db @@ fun db ->
     let resolver =
-      match resolver with
-      | "manual" -> Forkbase.Merge.Manual
-      | "left" -> Forkbase.Merge.Choose_left
-      | "right" -> Forkbase.Merge.Choose_right
-      | "append" -> Forkbase.Merge.Append
-      | "aggregate" -> Forkbase.Merge.Aggregate
-      | r ->
-          Printf.eprintf "unknown resolver %S\n" r;
+      match Fbremote.Server.resolver_of_string resolver with
+      | Ok r -> r
+      | Error e ->
+          prerr_endline e;
           exit 2
     in
     let uid = or_die (Db.merge ~resolver db ~key ~target ~ref_:(`Branch ref_branch)) in
@@ -313,7 +308,7 @@ let stats_cmd =
         let s = (Db.store db).Fbchunk.Chunk_store.stats () in
         Format.printf "%a@." Fbchunk.Chunk_store.pp_stats s;
         let garbage_chunks, garbage_bytes = Persist.garbage_stats p in
-        Format.printf "garbage: %d chunks, %d bytes (run 'forkbase checkpoint')@."
+        Format.printf "garbage: %d chunks, %d bytes (run 'forkbase gc')@."
           garbage_chunks garbage_bytes;
         Format.printf "files: chunk log %d bytes, branch journal %d bytes@."
           (Persist.chunk_log_size p) (Persist.journal_size p);
@@ -803,17 +798,6 @@ let cluster_add_cmd =
           redirect/retry windows, never a lost acknowledged write")
     Term.(const run $ via_arg $ addr_pos)
 
-let checkpoint_cmd =
-  let run () =
-    with_store @@ fun p ->
-    let chunks, bytes = Persist.compact p in
-    Printf.printf "checkpointed; reclaimed %d chunks (%d bytes)\n" chunks bytes
-  in
-  Cmd.v
-    (Cmd.info "checkpoint"
-       ~doc:"snapshot branch tables and compact the chunk log")
-    Term.(const run $ const ())
-
 let soak_cmd =
   let run profile seconds ops seed quiet shards =
     let seed =
@@ -935,7 +919,7 @@ let () =
           [
             put_cmd; get_cmd; fork_cmd; branches_cmd; log_cmd; merge_cmd;
             keys_cmd; verify_cmd; fsck_cmd; lint_cmd; stats_cmd;
-            checkpoint_cmd; gc_cmd; serve_cmd; follow_cmd;
+            gc_cmd; serve_cmd; follow_cmd;
             replication_status_cmd; soak_cmd; shard_cmd; dispatch_cmd;
             cluster_status_cmd; cluster_add_cmd;
           ]))

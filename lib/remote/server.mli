@@ -164,3 +164,8 @@ val to_wire_value : Fbtypes.Value.t -> Wire.value
     read back through the store into plain data).  Exposed so embedded
     readers — a follower's local connector in the soak harness — can be
     compared against wire reads in one value domain. *)
+
+val resolver_of_string : string -> (Forkbase.Merge.resolver, string) result
+(** The merge resolver a [Merge] request names: [manual] (also [""]),
+    [left], [right], [append] or [aggregate]; [Error] carries the
+    message the server answers for any other name. *)

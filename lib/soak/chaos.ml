@@ -5,6 +5,8 @@ type event =
   | Kill_restart_primary
   | Force_compaction
   | Promote_follower
+  | Kill_restart_shard of int
+  | Add_shard
 
 type scheduled = { at : int; event : event }
 
@@ -13,9 +15,13 @@ let kind_name = function
   | Kill_restart_primary -> "kill-restart"
   | Force_compaction -> "compaction"
   | Promote_follower -> "promotion"
+  | Kill_restart_shard _ -> "shard-kill"
+  | Add_shard -> "shard-add"
 
 let all_kind_names =
   [ "fault-followers"; "kill-restart"; "compaction"; "promotion" ]
+
+let shard_kind_names = [ "shard-kill"; "shard-add" ]
 
 let event_to_string = function
   | Fault_followers { fp_seed; arm_ops } ->
@@ -23,6 +29,8 @@ let event_to_string = function
   | Kill_restart_primary -> "kill-restart primary"
   | Force_compaction -> "force checkpoint+compaction"
   | Promote_follower -> "promote follower"
+  | Kill_restart_shard i -> Printf.sprintf "kill-restart shard %d" i
+  | Add_shard -> "add shard (live fence/copy/lift rebalance)"
 
 let scheduled_to_string { at; event } =
   Printf.sprintf "[op %d] %s" at (event_to_string event)
@@ -86,3 +94,9 @@ let schedule ~seed ~total_ops ~events =
       in
       { at; event = mk_event rng ~total_ops kind })
     slots
+
+let shard_schedule ~total_ops =
+  [
+    { at = total_ops / 3; event = Kill_restart_shard 0 };
+    { at = 2 * total_ops / 3; event = Add_shard };
+  ]

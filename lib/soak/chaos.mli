@@ -28,16 +28,27 @@ type event =
       (** quiesce, SIGKILL the primary, promote the first follower's
           store to primary on the same port, and recycle the old
           primary's store as a fresh follower *)
+  | Kill_restart_shard of int
+      (** sharded topology: SIGKILL shard [i] mid-traffic and respawn it
+          on its port over the same store *)
+  | Add_shard
+      (** sharded topology: spawn one more shard and move its keys to it
+          by a live fence/copy/lift rebalance while writes continue *)
 
 type scheduled = { at : int; event : event }
 (** [event] fires when the driver reaches operation [at] (1-based,
     before executing it). *)
 
 val kind_name : event -> string
-(** ["fault-followers" | "kill-restart" | "compaction" | "promotion"] —
-    stable labels for logs and coverage counters. *)
+(** ["fault-followers" | "kill-restart" | "compaction" | "promotion" |
+    "shard-kill" | "shard-add"] — stable labels for logs and coverage
+    counters. *)
 
 val all_kind_names : string list
+(** The four kinds {!schedule} draws, for the replicated topology. *)
+
+val shard_kind_names : string list
+(** ["shard-kill"; "shard-add"], the kinds of {!shard_schedule}. *)
 
 val event_to_string : event -> string
 val scheduled_to_string : scheduled -> string
@@ -47,3 +58,7 @@ val schedule : seed:int64 -> total_ops:int -> events:int -> scheduled list
     [\[total_ops/10 + 1, total_ops\]], sorted by index.  With
     [events >= 4] every kind appears at least once; with fewer, kinds
     are drawn uniformly.  Pure: equal arguments, equal schedule. *)
+
+val shard_schedule : total_ops:int -> scheduled list
+(** The sharded topology's fixed schedule: shard 0 killed and restarted
+    at [total_ops/3], one shard added at [2*total_ops/3]. *)

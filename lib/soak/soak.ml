@@ -3,6 +3,10 @@ module Client = Fbremote.Client
 module Procs = Fbremote.Procs
 module Proc = Fbreplica.Proc
 module Replica = Fbreplica.Replica
+module Wire = Fbremote.Wire
+module Shard = Fbshard.Shard
+module Shard_map = Fbshard.Shard_map
+module Dispatch = Fbshard.Dispatch
 module Failpoint = Fbcheck.Failpoint
 module Fsck = Fbcheck.Fsck
 module Convergence = Fbcheck.Convergence
@@ -144,7 +148,73 @@ let fresh_scratch cfg =
       d
 
 (* ------------------------------------------------------------------ *)
-(* harness state *)
+(* the driver's state, shared by both topologies *)
+
+type driver = {
+  cfg : config;
+  schedule : Chaos.scheduled list;
+  replay : string;
+  scratch : string;
+  mutable op : int;
+  mutable full_verifies : int;
+  mutable stores_fscked : int;
+  mutable convergence_checks : int;
+  mutable model_checks : int;
+  mutable faults_injected : int;
+}
+
+(* Slots are distinct and fire in order, so the events fired so far are
+   the schedule's prefix up to the current op. *)
+let fired d = List.filter (fun { Chaos.at; _ } -> at <= d.op) d.schedule
+
+let fail d ~what ~detail =
+  raise
+    (Soak_failed
+       {
+         f_seed = d.cfg.seed;
+         f_at_op = d.op;
+         f_what = what;
+         f_detail = detail;
+         f_schedule = List.map Chaos.scheduled_to_string d.schedule;
+         f_fired = List.map Chaos.scheduled_to_string (fired d);
+         f_scratch = d.scratch;
+         f_replay = d.replay;
+       })
+
+(* The command that reruns [cfg]: a deadline means the long profile. *)
+let replay_command cfg ~shards =
+  Printf.sprintf "forkbase soak --profile %s%s --ops %d --seed 0x%Lx"
+    (match cfg.deadline with
+    | None -> "short"
+    | Some s -> Printf.sprintf "long --seconds %g" s)
+    (match shards with None -> "" | Some n -> Printf.sprintf " --shards %d" n)
+    cfg.total_ops cfg.seed
+
+let fsck_dir_clean d ~ctx dir =
+  let report = Fsck.check_dir dir in
+  d.stores_fscked <- d.stores_fscked + 1;
+  if not (Fsck.ok report) then
+    fail d
+      ~what:(Printf.sprintf "fsck violations in %s (%s)" dir ctx)
+      ~detail:(List.map Fsck.violation_to_string report.Fsck.violations)
+
+(* What a topology contributes to a run; [drive] owns the rest. *)
+type topology = {
+  fire : Chaos.event -> unit;  (* one scheduled chaos event, at [d.op] *)
+  step : unit -> unit;  (* one workload operation, at [d.op] *)
+  verify : string -> unit;  (* quiesce and assert every invariant *)
+  shutdown : unit -> (string * string) list;
+      (* stop gracefully; every store to fsck, as (context, dir) *)
+  teardown : unit -> unit;  (* release what is left, failed or not *)
+  inline_checks : unit -> int;
+  ops_by_app : unit -> (string * int) list;
+}
+
+let not_in_topology ev =
+  invalid_arg ("Soak: no " ^ Chaos.kind_name ev ^ " event in this topology")
+
+(* ------------------------------------------------------------------ *)
+(* replicated topology: a primary process plus in-process followers *)
 
 type fnode = {
   mutable rep : Replica.t;
@@ -153,11 +223,7 @@ type fnode = {
 }
 
 type st = {
-  cfg : config;
-  schedule : Chaos.scheduled list;
-  mutable pending : Chaos.scheduled list;
-  mutable fired : string list;  (* rendered, newest first *)
-  fired_kinds : (string, int) Hashtbl.t;
+  d : driver;
   apps : Apps.t;
   port : int;  (* stable across restarts and promotions *)
   mutable primary : Procs.t;
@@ -165,32 +231,14 @@ type st = {
   mutable client : Client.t;
   fols : fnode array;
   mutable fault_until : int option;
-  mutable faults_injected : int;
-  mutable full_verifies : int;
-  mutable stores_fscked : int;
-  mutable convergence_checks : int;
-  mutable model_checks : int;
-  mutable op : int;
-  scratch : string;
 }
 
-let fail st ~what ~detail =
-  raise
-    (Soak_failed
-       {
-         f_seed = st.cfg.seed;
-         f_at_op = st.op;
-         f_what = what;
-         f_detail = detail;
-         f_schedule = List.map Chaos.scheduled_to_string st.schedule;
-         f_fired = List.rev st.fired;
-         f_scratch = st.scratch;
-         f_replay =
-           Printf.sprintf "forkbase soak --profile short --ops %d --seed 0x%Lx"
-             st.cfg.total_ops st.cfg.seed;
-       })
-
-let connect st = Client.connect ~retries:100 ~port:st.port ()
+(* Connect to the respawned primary, then close the old socket: the
+   client is always one open connection, which teardown closes. *)
+let reconnect st =
+  let old = st.client in
+  st.client <- Client.connect ~retries:100 ~port:st.port ();
+  Client.close old
 
 let open_fnode st fn =
   fn.rep <-
@@ -198,14 +246,11 @@ let open_fnode st fn =
       ~wrap_store:(Failpoint.store fn.fp)
       ~retries:10 ~dir:fn.fdir ~host:"127.0.0.1" ~port:st.port ()
 
-(* ------------------------------------------------------------------ *)
-(* follower syncing *)
-
 (* A plan's [Failpoint.injected] counts every fault that fired (dropped
    reads included, which never raise); fold it into the run total when
    the plan is retired. *)
 let retire_fp st fn next =
-  st.faults_injected <- st.faults_injected + Failpoint.injected fn.fp;
+  st.d.faults_injected <- st.d.faults_injected + Failpoint.injected fn.fp;
   fn.fp <- next
 
 let sync_once fn =
@@ -219,7 +264,7 @@ let catch_up st fn ~who =
   let gone = ref 0 in
   let rec go budget =
     if budget = 0 then
-      fail st ~what:(who ^ " failed to catch up")
+      fail st.d ~what:(who ^ " failed to catch up")
         ~detail:
           [
             Printf.sprintf "lag still %d after sync budget exhausted"
@@ -232,7 +277,7 @@ let catch_up st fn ~who =
       | Replica.Primary_gone ->
           incr gone;
           if !gone > 5 then
-            fail st ~what:(who ^ ": primary unreachable during catch-up")
+            fail st.d ~what:(who ^ ": primary unreachable during catch-up")
               ~detail:[ Printf.sprintf "%d consecutive failed pulls" !gone ]
           else go (budget - 1)
       | (_ : Replica.progress) ->
@@ -249,8 +294,9 @@ let with_faults_paused st f =
       if armed then Array.iter (fun fn -> Failpoint.arm fn.fp) st.fols)
     f
 
-(* ------------------------------------------------------------------ *)
-(* the three invariant families *)
+let disarm_all st =
+  Array.iter (fun fn -> Failpoint.disarm fn.fp) st.fols;
+  st.fault_until <- None
 
 let client_heads c =
   Convergence.normalize
@@ -262,18 +308,11 @@ let client_heads c =
              (Client.list_branches c ~key) ))
        (Client.list_keys c))
 
-let fsck_dir_clean st ~ctx dir =
-  let report = Fsck.check_dir dir in
-  st.stores_fscked <- st.stores_fscked + 1;
-  if not (Fsck.ok report) then
-    fail st
-      ~what:(Printf.sprintf "fsck violations in %s (%s)" dir ctx)
-      ~detail:(List.map Fsck.violation_to_string report.Fsck.violations)
-
 (* Quiesce and assert everything: followers caught up, heads converged,
    application state model-consistent on every store, follower stores
    fsck-clean. *)
 let verify_all st ~reason =
+  let d = st.d in
   with_faults_paused st @@ fun () ->
   Array.iteri
     (fun i fn -> catch_up st fn ~who:(Printf.sprintf "follower %d" i))
@@ -282,68 +321,46 @@ let verify_all st ~reason =
   Array.iteri
     (fun i fn ->
       let fh = Convergence.of_db (Replica.db fn.rep) in
-      st.convergence_checks <- st.convergence_checks + 1;
+      d.convergence_checks <- d.convergence_checks + 1;
       let diverged =
         Convergence.diff ~left_name:"primary"
           ~right_name:(Printf.sprintf "follower %d" i)
           ~left:primary_heads ~right:fh
       in
       if diverged <> [] then
-        fail st
+        fail d
           ~what:(Printf.sprintf "replication diverged (%s)" reason)
           ~detail:diverged)
     st.fols;
   let model_diff = Apps.check_client st.apps st.client in
-  st.model_checks <- st.model_checks + 1;
+  d.model_checks <- d.model_checks + 1;
   if model_diff <> [] then
-    fail st
+    fail d
       ~what:(Printf.sprintf "primary state diverged from the model (%s)" reason)
       ~detail:model_diff;
   Array.iteri
     (fun i fn ->
-      let d = Apps.check_db st.apps (Replica.db fn.rep) in
-      st.model_checks <- st.model_checks + 1;
-      if d <> [] then
-        fail st
+      let diff = Apps.check_db st.apps (Replica.db fn.rep) in
+      d.model_checks <- d.model_checks + 1;
+      if diff <> [] then
+        fail d
           ~what:
             (Printf.sprintf "follower %d state diverged from the model (%s)" i
                reason)
-          ~detail:d;
+          ~detail:diff;
       let report = Fsck.check_db (Replica.db fn.rep) in
-      st.stores_fscked <- st.stores_fscked + 1;
+      d.stores_fscked <- d.stores_fscked + 1;
       if not (Fsck.ok report) then
-        fail st
+        fail d
           ~what:(Printf.sprintf "fsck violations on follower %d (%s)" i reason)
           ~detail:(List.map Fsck.violation_to_string report.Fsck.violations))
     st.fols;
-  st.full_verifies <- st.full_verifies + 1;
-  st.cfg.log
+  d.full_verifies <- d.full_verifies + 1;
+  d.cfg.log
     (Printf.sprintf "[op %d] verify ok (%s): %d keys converged on %d followers"
-       st.op reason (List.length primary_heads) (Array.length st.fols))
+       d.op reason (List.length primary_heads) (Array.length st.fols))
 
-(* ------------------------------------------------------------------ *)
-(* chaos events *)
-
-let record_fired st ev =
-  let kind = Chaos.kind_name ev in
-  Hashtbl.replace st.fired_kinds kind
-    (1 + Option.value ~default:0 (Hashtbl.find_opt st.fired_kinds kind));
-  let line = Chaos.scheduled_to_string { Chaos.at = st.op; event = ev } in
-  st.fired <- line :: st.fired;
-  st.cfg.log ("chaos " ^ line)
-
-let close_client st =
-  try Client.close st.client
-  (* closing a connection to an already-dead server *)
-  with _ -> () (* lint: allow no-swallow *)
-
-let disarm_all st =
-  Array.iter (fun fn -> Failpoint.disarm fn.fp) st.fols;
-  st.fault_until <- None
-
-let fire st ev =
-  record_fired st ev;
-  match ev with
+let fire st = function
   | Chaos.Fault_followers { fp_seed; arm_ops } ->
       (* fresh per-follower fault plans from the event's seed; reopening
          the follower (a crash-recoverable restart in itself) is what
@@ -361,19 +378,18 @@ let fire st ev =
           open_fnode st fn;
           Failpoint.arm fn.fp)
         st.fols;
-      st.fault_until <- Some (st.op + arm_ops)
+      st.fault_until <- Some (st.d.op + arm_ops)
   | Chaos.Kill_restart_primary ->
-      close_client st;
       Procs.kill st.primary;
-      fsck_dir_clean st ~ctx:"primary store after SIGKILL" st.pdir;
+      fsck_dir_clean st.d ~ctx:"primary store after SIGKILL" st.pdir;
       st.primary <- Proc.spawn_primary ~port:st.port ~dir:st.pdir ();
-      st.client <- connect st;
+      reconnect st;
       verify_all st ~reason:"after kill-restart"
   | Chaos.Force_compaction ->
       let chunks, bytes = Client.checkpoint st.client in
-      st.cfg.log
+      st.d.cfg.log
         (Printf.sprintf "[op %d] compaction reclaimed %d chunks, %d bytes"
-           st.op chunks bytes);
+           st.d.op chunks bytes);
       (* let the followers race the rotated journal right away *)
       Array.iter sync_once st.fols;
       verify_all st ~reason:"after forced compaction"
@@ -383,12 +399,11 @@ let fire st ev =
       Array.iteri
         (fun i fn -> catch_up st fn ~who:(Printf.sprintf "follower %d" i))
         st.fols;
-      close_client st;
       Procs.kill st.primary;
-      fsck_dir_clean st ~ctx:"old primary after SIGKILL" st.pdir;
+      fsck_dir_clean st.d ~ctx:"old primary after SIGKILL" st.pdir;
       let fn0 = st.fols.(0) in
       Replica.close fn0.rep;
-      fsck_dir_clean st ~ctx:"follower store about to be promoted" fn0.fdir;
+      fsck_dir_clean st.d ~ctx:"follower store about to be promoted" fn0.fdir;
       let old_pdir = st.pdir in
       st.pdir <- fn0.fdir;
       st.primary <- Proc.spawn_primary ~port:st.port ~dir:st.pdir ();
@@ -397,8 +412,9 @@ let fire st ev =
       fn0.fdir <- old_pdir;
       retire_fp st fn0 (Failpoint.none ());
       open_fnode st fn0;
-      st.client <- connect st;
+      reconnect st;
       verify_all st ~reason:"after promotion"
+  | (Chaos.Kill_restart_shard _ | Chaos.Add_shard) as ev -> not_in_topology ev
 
 (* the deliberate-corruption hook: prove a damaged store cannot pass *)
 let sabotage st =
@@ -418,293 +434,240 @@ let sabotage st =
   let oc = open_out_bin path in
   output_bytes oc b;
   close_out oc;
-  st.cfg.log
-    (Printf.sprintf "[op %d] sabotage: corrupted %s from byte %d" st.op path
+  st.d.cfg.log
+    (Printf.sprintf "[op %d] sabotage: corrupted %s from byte %d" st.d.op path
        (len / 2));
   let report = Fsck.check_dir fn0.fdir in
-  st.stores_fscked <- st.stores_fscked + 1;
+  st.d.stores_fscked <- st.d.stores_fscked + 1;
   if Fsck.ok report then
-    fail st ~what:"sabotaged store passed fsck"
+    fail st.d ~what:"sabotaged store passed fsck"
       ~detail:[ "corruption was injected but no violation was reported" ]
   else
-    fail st ~what:"fsck violations on follower 0 (sabotaged store)"
+    fail st.d ~what:"fsck violations on follower 0 (sabotaged store)"
       ~detail:(List.map Fsck.violation_to_string report.Fsck.violations)
 
-(* ------------------------------------------------------------------ *)
-(* the run *)
-
-let run cfg =
-  if cfg.followers < 1 then invalid_arg "Soak.run: need at least one follower";
-  if cfg.total_ops < 10 then invalid_arg "Soak.run: need at least 10 ops";
-  let scratch = fresh_scratch cfg in
-  let schedule =
-    Chaos.schedule ~seed:cfg.seed ~total_ops:cfg.total_ops
-      ~events:cfg.chaos_events
-  in
-  List.iter (fun s -> cfg.log ("scheduled " ^ Chaos.scheduled_to_string s))
-    schedule;
-  let pdir = Filename.concat scratch "store-0" in
-  let primary = Proc.spawn_primary ~dir:pdir () in
+let replicated d =
+  let cfg = d.cfg in
+  let store i = Filename.concat d.scratch (Printf.sprintf "store-%d" i) in
+  let primary = Proc.spawn_primary ~dir:(store 0) () in
   let port = Procs.port primary in
   let fols =
     Array.init cfg.followers (fun i ->
         {
           rep =
-            Replica.open_follower ~retries:10
-              ~dir:(Filename.concat scratch (Printf.sprintf "store-%d" (i + 1)))
+            Replica.open_follower ~retries:10 ~dir:(store (i + 1))
               ~host:"127.0.0.1" ~port ();
-          fdir = Filename.concat scratch (Printf.sprintf "store-%d" (i + 1));
+          fdir = store (i + 1);
           fp = Failpoint.none ();
         })
   in
   let st =
     {
-      cfg;
-      schedule;
-      pending = schedule;
-      fired = [];
-      fired_kinds = Hashtbl.create 8;
+      d;
       apps =
         Apps.create ~seed:cfg.seed ~kv_keys:cfg.kv_keys
           ~wiki_pages:cfg.wiki_pages ~accounts:cfg.accounts ~theta:cfg.theta
           ~page_bytes:cfg.page_bytes ~value_bytes:cfg.value_bytes;
       port;
       primary;
-      pdir;
+      pdir = store 0;
       client = Client.connect ~retries:100 ~port ();
       fols;
       fault_until = None;
-      faults_injected = 0;
-      full_verifies = 0;
-      stores_fscked = 0;
-      convergence_checks = 0;
-      model_checks = 0;
-      op = 0;
-      scratch;
     }
   in
-  let timed_out = ref false in
-  let started =
-    match cfg.deadline with None -> 0. | Some _ -> Unix.gettimeofday ()
-  in
-  let over_deadline () =
-    match cfg.deadline with
-    | None -> false
-    | Some s -> Unix.gettimeofday () -. started > s
-  in
-  let cleanup ~failed =
-    disarm_all st;
-    close_client st;
-    Procs.kill st.primary;
-    Array.iter
-      (* teardown of possibly-failed state *)
-      (fun fn -> try Replica.close fn.rep with _ -> () (* lint: allow no-swallow *))
-      st.fols;
-    if (not failed) && not cfg.keep_scratch then rm_rf st.scratch
-  in
-  let failed = ref true in
-  Fun.protect ~finally:(fun () -> cleanup ~failed:!failed) @@ fun () ->
-  let result =
-    try
-      let continue_ = ref true in
-      while !continue_ && st.op < cfg.total_ops do
-        st.op <- st.op + 1;
-        (* chaos due at this operation? *)
-        (match st.pending with
-        | { Chaos.at; event } :: rest when at = st.op ->
-            st.pending <- rest;
-            fire st event
-        | _ -> ());
+  {
+    fire = fire st;
+    step =
+      (fun () ->
         (match cfg.sabotage_at with
-        | Some n when n = st.op -> sabotage st
+        | Some n when n = d.op -> sabotage st
         | _ -> ());
         (* fault window closing? heal, then verify everything *)
         (match st.fault_until with
-        | Some u when st.op >= u ->
+        | Some u when d.op >= u ->
             disarm_all st;
             verify_all st ~reason:"after fault window"
         | _ -> ());
-        Apps.step st.apps st.client ~op:st.op;
-        if st.op mod cfg.sync_every = 0 then Array.iter sync_once st.fols;
-        if st.op mod cfg.verify_every = 0 then
-          verify_all st ~reason:"periodic";
-        if st.op land 63 = 0 && over_deadline () then begin
-          timed_out := true;
-          continue_ := false
-        end
-      done;
-      disarm_all st;
-      verify_all st ~reason:"final";
-      (* graceful shutdown, then fsck every store from its directory *)
-      (try Client.quit_server st.client (* server may already be draining *)
-       with _ -> () (* lint: allow no-swallow *));
-      close_client st;
-      Procs.reap st.primary;
-      fsck_dir_clean st ~ctx:"primary store after shutdown" st.pdir;
-      Array.iteri
-        (fun i fn ->
-          Replica.close fn.rep;
-          fsck_dir_clean st
-            ~ctx:(Printf.sprintf "follower %d store after shutdown" i)
-            fn.fdir;
-          (* reopen so cleanup's close is harmless *)
-          open_fnode st fn)
-        st.fols;
-      Array.iter (fun fn -> retire_fp st fn (Failpoint.none ())) st.fols;
-      {
-        ops_done = st.op;
-        events_fired =
-          List.map
-            (fun k ->
-              (k, Option.value ~default:0 (Hashtbl.find_opt st.fired_kinds k)))
-            Chaos.all_kind_names;
-        inline_checks = Apps.inline_checks st.apps;
-        full_verifies = st.full_verifies;
-        stores_fscked = st.stores_fscked;
-        convergence_checks = st.convergence_checks;
-        model_checks = st.model_checks;
-        faults_injected = st.faults_injected;
-        ops_by_app = Apps.ops_by_app st.apps;
-        timed_out = !timed_out;
-      }
-    with
-    | Soak_failed _ as e -> raise e
-    | Apps.Mismatch lines ->
-        fail st ~what:"inline read-back diverged from the model" ~detail:lines
-    | e ->
-        fail st
-          ~what:("unexpected exception: " ^ Printexc.to_string e)
-          ~detail:
-            (String.split_on_char '\n' (Printexc.get_backtrace ()))
-  in
-  failed := false;
-  result
+        Apps.step st.apps st.client ~op:d.op;
+        if d.op mod cfg.sync_every = 0 then Array.iter sync_once st.fols);
+    verify = (fun reason -> verify_all st ~reason);
+    shutdown =
+      (fun () ->
+        disarm_all st;
+        (try Client.quit_server st.client
+         with Client.Disconnected | Unix.Unix_error _ ->
+           (* the server may already be draining *)
+           ());
+        Procs.reap st.primary;
+        Array.iter
+          (fun fn ->
+            Replica.close fn.rep;
+            retire_fp st fn (Failpoint.none ()))
+          st.fols;
+        ("primary store after shutdown", st.pdir)
+        :: List.mapi
+             (fun i fn ->
+               (Printf.sprintf "follower %d store after shutdown" i, fn.fdir))
+             (Array.to_list st.fols));
+    teardown =
+      (fun () ->
+        Client.close st.client;
+        Procs.kill st.primary;
+        (* a no-op on the stores shutdown already closed *)
+        Array.iter (fun fn -> Replica.crash fn.rep) st.fols);
+    inline_checks = (fun () -> Apps.inline_checks st.apps);
+    ops_by_app = (fun () -> Apps.ops_by_app st.apps);
+  }
 
 (* ------------------------------------------------------------------ *)
-(* sharded soak: the same discipline over a real N-shard topology *)
+(* sharded topology: a dispatcher over N shard processes *)
 
-module Shard = Fbshard.Shard
-module Shard_map = Fbshard.Shard_map
-module Dispatch = Fbshard.Dispatch
-module Wire = Fbremote.Wire
-
-(* The sharded run is its own small harness rather than a mode of [run]:
-   the three applications and the chaos schedule above are bound to a
-   single primary + followers topology, while a sharded cluster's
-   invariants are different — ownership routing, map versioning,
-   rebalance fences.  What carries over unchanged is the discipline:
-   seeded determinism, an oracle of acknowledged writes, continuous
-   inline checks, heads-equal convergence at every quiesce, and
-   fsck-clean stores at shutdown. *)
-
-let sharded_fail cfg ~shards ~op ~fired ~scratch ~what ~detail =
-  raise
-    (Soak_failed
-       {
-         f_seed = cfg.seed;
-         f_at_op = op;
-         f_what = what;
-         f_detail = detail;
-         f_schedule =
-           [
-             "shard-kill @ total_ops/3 (SIGKILL one shard, respawn on its port)";
-             "shard-add @ 2*total_ops/3 (live fence/copy/lift rebalance)";
-           ];
-         f_fired = List.rev fired;
-         f_scratch = scratch;
-         f_replay =
-           Printf.sprintf
-             "forkbase soak --profile short --shards %d --ops %d --seed 0x%Lx"
-             shards cfg.total_ops cfg.seed;
-       })
-
-let run_sharded ~shards cfg =
-  if shards < 2 then invalid_arg "Soak.run_sharded: need at least 2 shards";
-  if cfg.total_ops < 10 then invalid_arg "Soak.run_sharded: need >= 10 ops";
-  let scratch = fresh_scratch cfg in
-  let dirs =
-    List.init shards (fun i ->
-        Filename.concat scratch (Printf.sprintf "shard-%d" i))
+let sharded ~shards d =
+  let cfg = d.cfg in
+  let shard_dir i = Filename.concat d.scratch (Printf.sprintf "shard-%d" i) in
+  let procs, map =
+    Shard.spawn_cluster ~dirs:(List.init shards shard_dir) ()
   in
-  let procs, map = Shard.spawn_cluster ~dirs () in
   let procs = ref procs in
-  let d = Dispatch.of_map map in
+  let disp = Dispatch.of_map map in
   let rng = Splitmix.create cfg.seed in
   let zipf = Workload.Zipf.create ~n:cfg.kv_keys ~theta:cfg.theta in
   (* the oracle: last acknowledged value per key; an acknowledged write
      that later reads differently is a lost write *)
   let acked : (string, string) Hashtbl.t = Hashtbl.create 256 in
-  let op = ref 0 in
-  let fired = ref [] in
   let inline_checks = ref 0 in
-  let full_verifies = ref 0 in
-  let convergence_checks = ref 0 in
-  let stores_fscked = ref 0 in
   let puts = ref 0 and gets = ref 0 and branch_ops = ref 0 in
-  let all_dirs = ref dirs in
-  let extra_procs = ref [] in
-  let fail ~what ~detail =
-    sharded_fail cfg ~shards ~op:!op ~fired:!fired ~scratch ~what ~detail
-  in
-  let key_of i = Printf.sprintf "kv-%d" i in
   let check_key key =
     match Hashtbl.find_opt acked key with
     | None -> ()
     | Some expect -> (
         incr inline_checks;
-        match Dispatch.get d ~key with
+        match Dispatch.get disp ~key with
         | Wire.Str got when got = expect -> ()
         | Wire.Str got ->
-            fail ~what:"acknowledged write lost"
+            fail d ~what:"acknowledged write lost"
               ~detail:
-                [
-                  Printf.sprintf "%s: expected %S got %S" key expect got;
-                ]
-        | _ -> fail ~what:"value shape changed" ~detail:[ key ]
+                [ Printf.sprintf "%s: expected %S got %S" key expect got ]
+        | _ -> fail d ~what:"value shape changed" ~detail:[ key ]
         | exception e ->
-            fail
-              ~what:("read failed: " ^ Printexc.to_string e)
-              ~detail:[ key ])
+            fail d ~what:("read failed: " ^ Printexc.to_string e) ~detail:[ key ])
   in
-  (* every oracle entry must read back — the sharded quiesce check:
-     whatever shard a key lives on after kills and rebalances, its head
-     equals the last acknowledged write *)
-  let verify_all reason =
-    incr full_verifies;
-    cfg.log (Printf.sprintf "op %d: verify (%s)" !op reason);
-    Hashtbl.iter (fun key _ -> check_key key) acked;
-    incr convergence_checks
+  let value () =
+    Printf.sprintf "op%d:%s" d.op (Splitmix.alphanum rng cfg.value_bytes)
   in
-  let kill_restart_one () =
-    match !procs with
-    | victim :: rest ->
-        let port = Procs.port victim in
-        Procs.kill victim;
-        fired := Printf.sprintf "op %d: shard-kill (port %d)" !op port :: !fired;
-        cfg.log (Printf.sprintf "op %d: SIGKILL shard on port %d" !op port);
-        (match !all_dirs with
-        | dir :: _ ->
-            let revived =
-              Shard.spawn ~port ~dir ~self:0 ~map:(Dispatch.map d) ()
-            in
-            procs := revived :: rest
-        | [] -> ())
-    | [] -> ()
+  let step () =
+    let key = Printf.sprintf "kv-%d" (Workload.Zipf.sample zipf rng) in
+    let roll = Splitmix.int rng 10 in
+    if roll < 6 then begin
+      incr puts;
+      let v = value () in
+      let (_ : Fbchunk.Cid.t) = Dispatch.put disp ~key (Wire.Str v) in
+      Hashtbl.replace acked key v
+    end
+    else if roll < 9 then begin
+      incr gets;
+      check_key key
+    end
+    else begin
+      (* exercise the versioned ops across the wire: fork a branch, write
+         it, merge it back — the merged value becomes the acknowledged
+         head *)
+      incr branch_ops;
+      if Hashtbl.mem acked key then begin
+        let b = Printf.sprintf "soak-%d" d.op in
+        Dispatch.fork disp ~key ~from_branch:"master" ~new_branch:b;
+        let v = value () in
+        let (_ : Fbchunk.Cid.t) = Dispatch.put disp ~branch:b ~key (Wire.Str v) in
+        let (_ : Fbchunk.Cid.t) =
+          Dispatch.merge disp ~key ~target:"master" ~ref_branch:b
+        in
+        Hashtbl.replace acked key v
+      end
+    end
   in
-  let add_one_shard () =
-    let self = Shard_map.n (Dispatch.map d) in
-    let dir = Filename.concat scratch (Printf.sprintf "shard-%d" self) in
-    let p = Shard.spawn ~dir ~self ~map:(Dispatch.map d) () in
-    extra_procs := p :: !extra_procs;
-    all_dirs := !all_dirs @ [ dir ];
-    let moved = Dispatch.add_shard d ~host:"127.0.0.1" ~port:(Procs.port p) in
-    fired :=
-      Printf.sprintf "op %d: shard-add (%d keys moved)" !op moved :: !fired;
-    cfg.log (Printf.sprintf "op %d: added shard %d, %d keys moved" !op self moved)
+  let fire = function
+    | Chaos.Kill_restart_shard i ->
+        procs :=
+          List.mapi
+            (fun j p ->
+              if j <> i then p
+              else begin
+                Procs.kill p;
+                Shard.spawn ~port:(Procs.port p) ~dir:(shard_dir j) ~self:j
+                  ~map:(Dispatch.map disp) ()
+              end)
+            !procs
+    | Chaos.Add_shard ->
+        let self = Shard_map.n (Dispatch.map disp) in
+        let p =
+          Shard.spawn ~dir:(shard_dir self) ~self ~map:(Dispatch.map disp) ()
+        in
+        procs := !procs @ [ p ];
+        let moved =
+          Dispatch.add_shard disp ~host:"127.0.0.1" ~port:(Procs.port p)
+        in
+        cfg.log
+          (Printf.sprintf "[op %d] rebalance moved %d keys to shard %d" d.op
+             moved self)
+    | ( Chaos.Fault_followers _ | Chaos.Kill_restart_primary
+      | Chaos.Force_compaction | Chaos.Promote_follower ) as ev ->
+        not_in_topology ev
   in
-  let kill_at = cfg.total_ops / 3 in
-  let add_at = 2 * cfg.total_ops / 3 in
-  let timed_out = ref false in
+  {
+    fire;
+    step;
+    (* every oracle entry must read back: whatever shard a key lives on
+       after kills and rebalances, its head is the last acknowledged
+       write *)
+    verify =
+      (fun reason ->
+        d.full_verifies <- d.full_verifies + 1;
+        Hashtbl.iter (fun key _ -> check_key key) acked;
+        d.convergence_checks <- d.convergence_checks + 1;
+        cfg.log
+          (Printf.sprintf "[op %d] verify ok (%s): %d acked keys read back"
+             d.op reason (Hashtbl.length acked)));
+    shutdown =
+      (fun () ->
+        Dispatch.quit_all disp;
+        List.iter Procs.reap !procs;
+        List.mapi
+          (fun i _ ->
+            (Printf.sprintf "shard %d store after shutdown" i, shard_dir i))
+          !procs);
+    teardown =
+      (fun () ->
+        List.iter Procs.kill !procs;
+        Dispatch.close disp);
+    inline_checks = (fun () -> !inline_checks);
+    ops_by_app =
+      (fun () -> [ ("put", !puts); ("get", !gets); ("branch", !branch_ops) ]);
+  }
+
+(* ------------------------------------------------------------------ *)
+(* the run *)
+
+let drive cfg ~shards ~schedule ~kinds topology =
+  if cfg.total_ops < 10 then invalid_arg "Soak: need at least 10 ops";
+  let scratch = fresh_scratch cfg in
+  List.iter (fun s -> cfg.log ("scheduled " ^ Chaos.scheduled_to_string s))
+    schedule;
+  let d =
+    {
+      cfg;
+      schedule;
+      replay = replay_command cfg ~shards;
+      scratch;
+      op = 0;
+      full_verifies = 0;
+      stores_fscked = 0;
+      convergence_checks = 0;
+      model_checks = 0;
+      faults_injected = 0;
+    }
+  in
+  let t = topology d in
   let started =
     match cfg.deadline with None -> 0. | Some _ -> Unix.gettimeofday ()
   in
@@ -714,101 +677,70 @@ let run_sharded ~shards cfg =
     | Some s -> Unix.gettimeofday () -. started > s
   in
   let failed = ref true in
-  let cleanup () =
-    List.iter Procs.kill !procs;
-    List.iter Procs.kill !extra_procs;
-    (try Dispatch.close d with _ -> () (* lint: allow no-swallow *));
-    if (not !failed) && not cfg.keep_scratch then rm_rf scratch
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
+  Fun.protect
+    ~finally:(fun () ->
+      t.teardown ();
+      if (not !failed) && not cfg.keep_scratch then rm_rf scratch)
+  @@ fun () ->
   let result =
     try
-      let continue_ = ref true in
-      while !continue_ && !op < cfg.total_ops do
-        incr op;
-        if !op = kill_at then kill_restart_one ();
-        if !op = add_at then add_one_shard ();
-        let i = Workload.Zipf.sample zipf rng in
-        let key = key_of i in
-        let roll = Splitmix.int rng 10 in
-        if roll < 6 then begin
-          incr puts;
-          let value =
-            Printf.sprintf "op%d:%s" !op (Splitmix.alphanum rng cfg.value_bytes)
-          in
-          let (_ : Fbchunk.Cid.t) = Dispatch.put d ~key (Wire.Str value) in
-          Hashtbl.replace acked key value
-        end
-        else if roll < 9 then begin
-          incr gets;
-          check_key key
-        end
-        else begin
-          (* exercise the versioned ops across the wire: fork a branch,
-             write it, merge it back — the merged value becomes the
-             acknowledged head *)
-          incr branch_ops;
-          match Hashtbl.find_opt acked key with
-          | None -> ()
-          | Some _ ->
-              let b = Printf.sprintf "soak-%d" !op in
-              Dispatch.fork d ~key ~from_branch:"master" ~new_branch:b;
-              let value =
-                Printf.sprintf "op%d:%s" !op
-                  (Splitmix.alphanum rng cfg.value_bytes)
-              in
-              let (_ : Fbchunk.Cid.t) =
-                Dispatch.put d ~branch:b ~key (Wire.Str value)
-              in
-              let (_ : Fbchunk.Cid.t) =
-                Dispatch.merge d ~key ~target:"master" ~ref_branch:b
-              in
-              Hashtbl.replace acked key value
-        end;
-        if !op mod cfg.verify_every = 0 then verify_all "periodic";
-        if !op land 63 = 0 && over_deadline () then begin
-          timed_out := true;
-          continue_ := false
-        end
+      let timed_out = ref false in
+      while (not !timed_out) && d.op < cfg.total_ops do
+        d.op <- d.op + 1;
+        List.iter
+          (fun ({ Chaos.at; event } as s) ->
+            if at = d.op then begin
+              cfg.log ("chaos " ^ Chaos.scheduled_to_string s);
+              t.fire event
+            end)
+          schedule;
+        t.step ();
+        if d.op mod cfg.verify_every = 0 then t.verify "periodic";
+        if d.op land 63 = 0 && over_deadline () then timed_out := true
       done;
-      verify_all "final";
-      (* graceful shutdown, then fsck every shard store *)
-      Dispatch.quit_all d;
-      List.iter Procs.reap !procs;
-      List.iter Procs.reap !extra_procs;
-      List.iter
-        (fun dir ->
-          incr stores_fscked;
-          let report = Fsck.check_dir dir in
-          if not (Fsck.ok report) then
-            fail
-              ~what:(dir ^ " not fsck-clean after shutdown")
-              ~detail:
-                (List.map Fsck.violation_to_string report.Fsck.violations))
-        !all_dirs;
+      t.verify "final";
+      (* graceful shutdown, then fsck every store from its directory *)
+      List.iter (fun (ctx, dir) -> fsck_dir_clean d ~ctx dir) (t.shutdown ());
+      let fired_kinds =
+        List.map (fun { Chaos.event; _ } -> Chaos.kind_name event) (fired d)
+      in
       {
-        ops_done = !op;
+        ops_done = d.op;
         events_fired =
-          [
-            ("shard-kill", if !op >= kill_at then 1 else 0);
-            ("shard-add", if !op >= add_at then 1 else 0);
-          ];
-        inline_checks = !inline_checks;
-        full_verifies = !full_verifies;
-        stores_fscked = !stores_fscked;
-        convergence_checks = !convergence_checks;
-        model_checks = 0;
-        faults_injected = 0;
-        ops_by_app =
-          [ ("put", !puts); ("get", !gets); ("branch", !branch_ops) ];
+          List.map
+            (fun k -> (k, List.length (List.filter (String.equal k) fired_kinds)))
+            kinds;
+        inline_checks = t.inline_checks ();
+        full_verifies = d.full_verifies;
+        stores_fscked = d.stores_fscked;
+        convergence_checks = d.convergence_checks;
+        model_checks = d.model_checks;
+        faults_injected = d.faults_injected;
+        ops_by_app = t.ops_by_app ();
         timed_out = !timed_out;
       }
     with
     | Soak_failed _ as e -> raise e
+    | Apps.Mismatch lines ->
+        fail d ~what:"inline read-back diverged from the model" ~detail:lines
     | e ->
-        fail
+        fail d
           ~what:("unexpected exception: " ^ Printexc.to_string e)
           ~detail:(String.split_on_char '\n' (Printexc.get_backtrace ()))
   in
   failed := false;
   result
+
+let run cfg =
+  if cfg.followers < 1 then invalid_arg "Soak.run: need at least one follower";
+  drive cfg ~shards:None ~kinds:Chaos.all_kind_names
+    ~schedule:
+      (Chaos.schedule ~seed:cfg.seed ~total_ops:cfg.total_ops
+         ~events:cfg.chaos_events)
+    replicated
+
+let run_sharded ~shards cfg =
+  if shards < 2 then invalid_arg "Soak.run_sharded: need at least 2 shards";
+  drive cfg ~shards:(Some shards) ~kinds:Chaos.shard_kind_names
+    ~schedule:(Chaos.shard_schedule ~total_ops:cfg.total_ops)
+    (sharded ~shards)

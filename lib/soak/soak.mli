@@ -1,17 +1,27 @@
-(** The mixed-workload chaos soak harness — ForkBase's long-running
-    confidence test.
+(** The chaos soak harness — ForkBase's long-running confidence test.
 
-    One run stands up a {e real} topology: a primary server in a child
-    process (spawned exactly as `forkbase serve` would run, group commit
-    on), plus in-process catch-up followers ({!Fbreplica.Replica}), each
-    on its own durable store.  A single driver then interleaves three
-    applications' traffic over the wire ({!Apps}: Redis-style KV, a
-    fork/edit/merge wiki, a conservation-checked ledger) while a
-    deterministic chaos schedule ({!Chaos}) — fixed from the seed before
-    the run — injects follower store faults, SIGKILLs and restarts the
-    primary, forces checkpoint+compaction races, and promotes followers.
+    One driver runs the soak over either of two {e real} topologies:
 
-    Three invariant families are asserted continuously and at every
+    - {b replicated} ({!run}): a primary server in a child process
+      (spawned exactly as `forkbase serve` would run it, group commit
+      on) plus in-process catch-up followers ({!Fbreplica.Replica}), each
+      on its own durable store, carrying three applications' traffic
+      over the wire ({!Apps}: Redis-style KV, a fork/edit/merge wiki, a
+      conservation-checked ledger);
+    - {b sharded} ({!run_sharded}): a {!Fbshard.Dispatch} dispatcher over
+      N shard processes carrying puts, read-backs and fork/edit/merge
+      cycles, checked against an oracle of acknowledged writes.
+
+    The driver owns what the two share: the operation loop and its
+    deadline, a chaos schedule ({!Chaos}) fixed from the seed before the
+    run and logged as [chaos \[op N\] ...] lines as each event fires,
+    quiesce-and-verify at a fixed cadence, graceful shutdown followed by
+    an fsck of every store from its directory, teardown, the {!outcome}
+    counters and the single {!Soak_failed} report.  A topology
+    contributes only its workload step, how each of its events fires,
+    its quiesce check, its shutdown and its teardown.
+
+    The replicated invariants, asserted continuously and at every
     quiesce point:
 
     - {b fsck-clean stores}: {!Fbcheck.Fsck} over every follower store at
@@ -23,6 +33,9 @@
     - {b replication convergence}: after each quiesce every follower is
       synced until caught up ([lag = 0]) and its full head map must equal
       the primary's ({!Fbcheck.Convergence}).
+
+    The sharded invariant: zero lost acknowledged writes across shard
+    kills and live rebalances, plus fsck-clean shard stores at shutdown.
 
     Everything is replayable: the chaos schedule, workload, and fault
     schedules derive from [config.seed] alone, a failing run raises
@@ -74,7 +87,9 @@ type outcome = {
   inline_checks : int;  (** read-backs checked against the oracle *)
   full_verifies : int;  (** quiesce-and-verify-everything passes *)
   stores_fscked : int;  (** fsck reports required clean *)
-  convergence_checks : int;  (** follower head maps diffed against primary *)
+  convergence_checks : int;
+      (** follower head maps diffed against primary; for the sharded
+          topology, full oracle read-back passes *)
   model_checks : int;  (** full application-state diffs (primary + followers) *)
   faults_injected : int;  (** follower store faults that actually fired *)
   ops_by_app : (string * int) list;
@@ -89,7 +104,10 @@ type failure = {
   f_schedule : string list;  (** the full chaos schedule, rendered *)
   f_fired : string list;  (** events that had fired, in order *)
   f_scratch : string;  (** preserved store directories for post-mortem *)
-  f_replay : string;  (** the CLI command that replays this run *)
+  f_replay : string;
+      (** the CLI command that replays this run: [--profile long
+          --seconds s] when the config had a deadline, else [--profile
+          short]; [--shards N] for a sharded run *)
 }
 
 exception Soak_failed of failure
@@ -100,19 +118,14 @@ val failure_report : failure -> string
     reproduce the run. *)
 
 val run : config -> outcome
-(** Run the soak.  @raise Soak_failed on any invariant violation. *)
+(** Soak the replicated topology (`forkbase soak`), under the seeded
+    {!Chaos.schedule} of [config.chaos_events] events.
+    @raise Soak_failed on any invariant violation. *)
 
 val run_sharded : shards:int -> config -> outcome
-(** The sharded variant (`forkbase soak --shards N`): a seeded mixed
-    workload (puts, inline-checked reads, fork/edit/merge cycles)
-    driven through a {!Fbshard.Dispatch} dispatcher over [shards] real
-    shard processes, with two scheduled chaos events — one shard
-    SIGKILLed and respawned on its port at [total_ops/3], one live
-    fence/copy/lift rebalance ({!Fbshard.Dispatch.add_shard}) at
-    [2*total_ops/3] while writes continue.  The oracle of acknowledged
-    writes is checked inline, at every [verify_every] quiesce, and
-    finally after shutdown every shard store must fsck clean — zero
-    lost acknowledged writes across kills and rebalances, or
-    {!Soak_failed} with the replaying command.  Reuses [config]'s seed /
-    op budget / keyspace / cadence fields; followers and chaos_events
-    are ignored. *)
+(** Soak the sharded topology (`forkbase soak --shards N`) over
+    [shards] shard processes, under {!Chaos.shard_schedule}: shard 0
+    killed and respawned on its port, then one shard added by a live
+    fence/copy/lift rebalance while writes continue.  [followers],
+    [chaos_events], [sync_every] and [sabotage_at] are ignored.
+    @raise Soak_failed on any lost acknowledged write or unclean store. *)

@@ -100,21 +100,6 @@ let replay n =
   done;
   state_of db
 
-let temp_counter = ref 0
-
-let with_temp_dir f =
-  incr temp_counter;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbcrash-%d-%d" (Unix.getpid ()) !temp_counter)
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let check_fsck_clean db =
   let report = Fsck.check_db db in
   if not (Fsck.ok report) then
@@ -124,7 +109,7 @@ let check_fsck_clean db =
 (* Crash at an operation boundary: recovery must reproduce the acked state
    exactly — no "or one more" slack, every acked op is durable. *)
 let run_cycle n () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   for i = 0 to n - 1 do
@@ -173,7 +158,7 @@ let run_cycle n () =
    one, and fsck still finds nothing (chunks for the dropped op become
    mere garbage). *)
 let run_torn_journal n () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let sizes = Array.make (n + 1) (Persist.journal_size p) in
@@ -206,7 +191,7 @@ let run_torn_journal n () =
    must refuse with a typed Corrupt_db, not a raw exception or a silently
    wrong state. *)
 let run_torn_chunk_log () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   for i = 0 to 19 do

@@ -219,21 +219,6 @@ let random_op ?(fault_safe = false) t =
     `Applied
   with Fbchunk.Chunk_store.Injected_fault _ -> `Faulted
 
-let temp_counter = ref 0
-
-let with_temp_dir f =
-  incr temp_counter;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbmodel-%d-%d" (Unix.getpid ()) !temp_counter)
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 (* Drive [n] ops, diffing model against engine every [check_every] steps
    (and once at the end).  Raises [Failure] with the divergence report. *)
 let run t ?(fault_safe = false) ?(check_every = 1) n =

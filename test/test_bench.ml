@@ -182,21 +182,8 @@ let as_str field = function
 
 (* --- Bench_json in process: escaping and non-finite values --- *)
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbbenchtest-%d-%d" (Unix.getpid ())
-         (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let test_reporter_roundtrip () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   Bench_json.set_sink ~dir ~git_rev:"rev\"with\\quotes" ~scale:"small";
   Bench_json.begin_experiment ~area:"unit" ~id:"exp1";
   Bench_json.metric ~name:"plain" ~value:42.5 ~unit:"ops/s";
@@ -247,7 +234,7 @@ let bench_dir =
 let bench_exe = Filename.concat bench_dir "main.exe"
 
 let test_smoke_run_emits_valid_json () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let cmd =
     Printf.sprintf "%s smoke --json-dir %s --git-rev testrev > /dev/null"
       (Filename.quote bench_exe) (Filename.quote dir)

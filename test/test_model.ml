@@ -65,7 +65,7 @@ let prop_mem seed =
 (* --- db vs model, durable store with put faults and crashes -------- *)
 
 let prop_persist seed =
-  Model_driver.with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let fp = Failpoint.random ~seed:(Int64.lognot seed) ~ops:8000 ~put_fail:0.02 () in
   let reopen () = Persist.open_db ~cfg ~wrap_store:(Failpoint.store fp) dir in
   let p = ref (reopen ()) in

@@ -10,20 +10,6 @@ module Db = Forkbase.Db
 module Persist = Fbpersist.Persist
 module Journal = Fbpersist.Journal
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbpersist-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 (* Branch-table state of a db as a comparable value. *)
 let state_of db =
   List.map
@@ -78,7 +64,7 @@ let workload db =
   v2
 
 let test_reopen_roundtrip () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let v2 = workload db in
@@ -105,7 +91,7 @@ let test_reopen_roundtrip () =
   Persist.close p3
 
 let test_checkpoint_and_reopen () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let (_ : Cid.t) = workload db in
@@ -125,7 +111,7 @@ let test_checkpoint_and_reopen () =
   Persist.close p2
 
 let test_compaction_reclaims_garbage () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   (* every version reachable from a head stays live (the derivation DAG
@@ -182,7 +168,7 @@ let blob_content db ~key =
    that was resident in the old log's cache is gone from [get] and [mem],
    and live values read back byte-identical. *)
 let test_compaction_drops_cached_garbage () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let page = String.init 20_000 (fun i -> Char.chr ((i * 31) land 0xff)) in
@@ -214,7 +200,7 @@ let find_sub s sub =
    (the read cache's documented caveat); the rot is pinpointed by fsck
    once the store is reopened. *)
 let test_cached_chunk_rot_found_by_fsck () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let page = "rot-target:" ^ String.make 200 'r' in
@@ -245,7 +231,7 @@ let test_cached_chunk_rot_found_by_fsck () =
        report.Fbcheck.Fsck.violations)
 
 let test_missing_head_is_corruption () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -266,7 +252,7 @@ let test_missing_head_is_corruption () =
       Alcotest.fail "dangling head accepted"
 
 let test_garbled_journal_is_corruption () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -297,7 +283,7 @@ let copy_file src dst =
 (* Chunk log: appending [n] chunks then truncating anywhere inside the
    final record recovers exactly the first [n - 1] chunks. *)
 let test_log_store_torn_tail_every_offset () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "chunks.log" in
   let chunk i = Chunk.v Chunk.Blob (Printf.sprintf "payload-%d-%s" i (String.make (50 + i) 'p')) in
   let log = Log_store.open_ path in
@@ -333,7 +319,7 @@ let test_log_store_torn_tail_every_offset () =
 (* Branch journal: truncating anywhere inside the final entry makes
    reopen recover exactly the state before the final operation. *)
 let test_journal_torn_tail_every_offset () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let (_ : Cid.t) = workload db in
@@ -369,7 +355,7 @@ let test_journal_torn_tail_every_offset () =
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_failed_open_leaks_no_fds () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -397,7 +383,7 @@ let test_failed_open_leaks_no_fds () =
 (* --- regression: rename durability requires fsyncing the directory --- *)
 
 let test_rename_fsyncs_directory () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let (_ : Cid.t) = workload db in
@@ -438,7 +424,7 @@ let poisons =
   ]
 
 let test_log_store_bad_varint_is_corruption () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -460,7 +446,7 @@ let test_log_store_bad_varint_is_corruption () =
     poisons
 
 let test_journal_bad_varint_is_corruption () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -485,7 +471,7 @@ let test_journal_bad_varint_is_corruption () =
    sync drains, clean close still recovers --- *)
 
 let test_deferred_sync () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db ~journal_sync_every:1 dir in
   Persist.set_deferred_sync p true;
   let db = Persist.db p in
@@ -506,7 +492,7 @@ let test_deferred_sync () =
   Persist.close p2
 
 let test_db_level_sync_every () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   (* exposed knobs accepted and still safe on close *)
   let p = Persist.open_db ~sync_every:1 ~journal_sync_every:64 dir in
   let db = Persist.db p in

@@ -416,18 +416,6 @@ let test_stepping_clock_reaps () =
 
 module Persist = Fbpersist.Persist
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbremote-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let spawn_group_commit_server ~dir () =
   let listen_fd = Server.listen ~port:0 () in
   let port = Server.bound_port listen_fd in
@@ -449,7 +437,7 @@ let spawn_group_commit_server ~dir () =
       (port, pid)
 
 let test_group_commit () =
-  with_temp_dir @@ fun dir ->
+  Testnet.with_temp_dir @@ fun dir ->
   let port, server_pid = spawn_group_commit_server ~dir () in
   let writers = 4 and puts_each = 25 in
   let pids =

@@ -1,12 +1,15 @@
 (* The soak harness (lib/soak): chaos-schedule determinism and coverage,
-   short-profile determinism (two runs from one seed produce the same
-   event log and counters), a full short run that demonstrably exercises
-   every chaos event kind with all three invariant families asserted,
-   and the forced-failure path — a deliberately corrupted store must
-   produce a replayable failure report.
+   short-profile determinism on both topologies (two runs from one seed
+   produce the same event log and counters), a full short run that
+   demonstrably exercises every chaos event kind with all three
+   invariant families asserted, the sharded run, and the forced-failure
+   path — a deliberately corrupted store must produce a replayable
+   failure report naming the profile that ran.
 
-   Env knobs (mirroring the FORKBASE_QCHECK_ family):
-     FORKBASE_SOAK_OPS      driver operations for the full run (default 400)
+   Env knobs (mirroring the FORKBASE_QCHECK_ family), for the full
+   replicated and sharded runs:
+     FORKBASE_SOAK_OPS      driver operations (default 400 replicated,
+                            150 sharded)
      FORKBASE_SOAK_SEED     run seed (decimal or 0x-hex)
      FORKBASE_SOAK_SECONDS  adds a wall-clock deadline (long-style run) *)
 
@@ -28,13 +31,16 @@ let env_seconds () =
   | Some s -> float_of_string_opt s
   | None -> None
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+(* The short profile at [ops] and [seed] unless the env knobs say
+   otherwise. *)
+let env_config ~seed ~ops =
+  let cfg =
+    Soak.short_config
+      ~seed:(Option.value ~default:seed (env_seed ()))
+      ~ops:(Option.value ~default:ops (env_ops ()))
+      ()
+  in
+  match env_seconds () with None -> cfg | Some s -> { cfg with deadline = Some s }
 
 (* --- the chaos schedule --- *)
 
@@ -79,50 +85,48 @@ let test_schedule_shape_and_coverage () =
   Alcotest.(check int) "zero events" 0
     (List.length (Chaos.schedule ~seed:0x1L ~total_ops:100 ~events:0))
 
-(* --- short-profile determinism: one seed, one run --- *)
+(* --- short-profile determinism: one seed, one run, either topology --- *)
 
 let test_short_run_deterministic () =
-  let capture () =
-    let buf = Buffer.create 512 in
-    let cfg =
-      Soak.short_config ~seed:0xD373L ~ops:120
-        ~log:(fun l ->
-          (* keep only the chaos-event log: timings never appear in it *)
-          if String.length l >= 5 && String.sub l 0 5 = "chaos" then begin
-            Buffer.add_string buf l;
-            Buffer.add_char buf '\n'
-          end)
-        ()
-    in
-    let o = Soak.run cfg in
-    (Buffer.contents buf, o)
-  in
-  let log1, o1 = capture () in
-  let log2, o2 = capture () in
-  Alcotest.(check string) "identical chaos-event logs" log1 log2;
-  Alcotest.(check bool) "events actually fired" true (String.length log1 > 0);
-  Alcotest.(check int) "same ops" o1.Soak.ops_done o2.Soak.ops_done;
-  Alcotest.(check (list (pair string int)))
-    "same event counts" o1.Soak.events_fired o2.Soak.events_fired;
-  Alcotest.(check int) "same inline checks" o1.Soak.inline_checks
-    o2.Soak.inline_checks;
-  Alcotest.(check int) "same faults injected" o1.Soak.faults_injected
-    o2.Soak.faults_injected;
-  Alcotest.(check (list (pair string int)))
-    "same per-app op counts" o1.Soak.ops_by_app o2.Soak.ops_by_app
+  List.iter
+    (fun (topology, run) ->
+      let capture () =
+        let buf = Buffer.create 512 in
+        let cfg =
+          Soak.short_config ~seed:0xD373L ~ops:120
+            ~log:(fun l ->
+              (* keep only the chaos-event log: timings never appear in it *)
+              if String.length l >= 5 && String.sub l 0 5 = "chaos" then begin
+                Buffer.add_string buf l;
+                Buffer.add_char buf '\n'
+              end)
+            ()
+        in
+        let o = run cfg in
+        (Buffer.contents buf, o)
+      in
+      let log1, o1 = capture () in
+      let log2, o2 = capture () in
+      let msg what = topology ^ ": " ^ what in
+      Alcotest.(check string) (msg "identical chaos-event logs") log1 log2;
+      Alcotest.(check bool) (msg "events actually fired") true
+        (String.length log1 > 0);
+      Alcotest.(check int) (msg "same ops") o1.Soak.ops_done o2.Soak.ops_done;
+      Alcotest.(check (list (pair string int)))
+        (msg "same event counts") o1.Soak.events_fired o2.Soak.events_fired;
+      Alcotest.(check int) (msg "same inline checks") o1.Soak.inline_checks
+        o2.Soak.inline_checks;
+      Alcotest.(check int) (msg "same faults injected") o1.Soak.faults_injected
+        o2.Soak.faults_injected;
+      Alcotest.(check (list (pair string int)))
+        (msg "same per-app op counts") o1.Soak.ops_by_app o2.Soak.ops_by_app)
+    [ ("replicated", Soak.run); ("2 shards", Soak.run_sharded ~shards:2) ]
 
 (* --- the full short profile: every chaos kind, every invariant --- *)
 
 let test_short_profile_full () =
-  let ops = Option.value ~default:400 (env_ops ()) in
-  let cfg =
-    match env_seed () with
-    | Some seed -> Soak.short_config ~seed ~ops ()
-    | None -> Soak.short_config ~ops ()
-  in
-  let cfg =
-    match env_seconds () with None -> cfg | Some s -> { cfg with deadline = Some s }
-  in
+  let cfg = env_config ~seed:0x50AC_2026L ~ops:400 in
+  let ops = cfg.Soak.total_ops in
   let o = Soak.run cfg in
   Alcotest.(check bool) "ran the requested ops" true
     (o.Soak.ops_done = ops || o.Soak.timed_out);
@@ -147,54 +151,69 @@ let test_short_profile_full () =
 (* --- the sharded profile: kills + live rebalance, zero lost acks --- *)
 
 let test_sharded_profile () =
-  let cfg = Soak.short_config ~seed:0x54A2DL ~ops:150 () in
+  let cfg = env_config ~seed:0x54A2DL ~ops:150 in
   let o = Soak.run_sharded ~shards:2 cfg in
-  Alcotest.(check int) "ran the requested ops" 150 o.Soak.ops_done;
-  List.iter
-    (fun kind ->
-      let n = Option.value ~default:0 (List.assoc_opt kind o.Soak.events_fired) in
-      Alcotest.(check int)
-        (Printf.sprintf "chaos event %S fired" kind)
-        1 n)
-    [ "shard-kill"; "shard-add" ];
+  Alcotest.(check bool) "ran the requested ops" true
+    (o.Soak.ops_done = cfg.Soak.total_ops || o.Soak.timed_out);
+  if not o.Soak.timed_out then begin
+    List.iter
+      (fun kind ->
+        let n =
+          Option.value ~default:0 (List.assoc_opt kind o.Soak.events_fired)
+        in
+        Alcotest.(check int) (Printf.sprintf "chaos event %S fired" kind) 1 n)
+      Chaos.shard_kind_names;
+    (* 2 seeded shards + 1 added live, all fsck'd after shutdown *)
+    Alcotest.(check int) "every shard store fsck'd" 3 o.Soak.stores_fscked
+  end;
   Alcotest.(check bool) "inline checks ran" true (o.Soak.inline_checks > 0);
-  Alcotest.(check bool) "quiesce verifies ran" true (o.Soak.full_verifies >= 2);
-  (* 2 seeded shards + 1 added live, all fsck'd after shutdown *)
-  Alcotest.(check int) "every shard store fsck'd" 3 o.Soak.stores_fscked
+  Alcotest.(check bool) "quiesce verifies ran" true (o.Soak.full_verifies >= 2)
 
 (* --- a real invariant violation must produce a replayable report --- *)
 
 let test_sabotage_fails_with_report () =
-  let cfg =
-    { (Soak.short_config ~seed:0x5AB07A6EL ~ops:160 ()) with
-      sabotage_at = Some 120 }
-  in
-  match Soak.run cfg with
-  | (_ : Soak.outcome) ->
-      Alcotest.fail "a corrupted store must not pass the soak"
-  | exception Soak.Soak_failed f ->
-      Fun.protect ~finally:(fun () -> rm_rf f.Soak.f_scratch) @@ fun () ->
-      Alcotest.(check int64) "report carries the seed" 0x5AB07A6EL f.Soak.f_seed;
-      Alcotest.(check bool) "violations are detailed" true
-        (f.Soak.f_detail <> []);
-      Alcotest.(check bool) "the full chaos schedule is in the report" true
-        (f.Soak.f_schedule <> []);
-      Alcotest.(check bool) "scratch preserved for post-mortem" true
-        (Sys.file_exists f.Soak.f_scratch);
-      let report = Soak.failure_report f in
-      let contains needle =
-        let n = String.length needle and h = String.length report in
-        let rec go i = i + n <= h && (String.sub report i n = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "report prints the seed" true
-        (contains "seed 0x5ab07a6e");
-      Alcotest.(check bool) "report prints the chaos schedule" true
-        (contains "chaos schedule:");
-      Alcotest.(check bool) "report prints the replay command" true
-        (contains "replay: forkbase soak --profile short --ops 160 --seed 0x5ab07a6e");
-      Alcotest.(check bool) "report names the fsck violation" true
-        (contains "fsck" || contains "sabotaged")
+  List.iter
+    (fun (cfg, replay) ->
+      match Soak.run { cfg with Soak.sabotage_at = Some 120 } with
+      | (_ : Soak.outcome) ->
+          Alcotest.fail "a corrupted store must not pass the soak"
+      | exception Soak.Soak_failed f ->
+          Fun.protect ~finally:(fun () -> Testnet.rm_rf f.Soak.f_scratch)
+          @@ fun () ->
+          Alcotest.(check int64) "report carries the seed" 0x5AB07A6EL
+            f.Soak.f_seed;
+          Alcotest.(check bool) "violations are detailed" true
+            (f.Soak.f_detail <> []);
+          Alcotest.(check bool) "the full chaos schedule is in the report" true
+            (f.Soak.f_schedule <> []);
+          Alcotest.(check bool) "scratch preserved for post-mortem" true
+            (Sys.file_exists f.Soak.f_scratch);
+          let report = Soak.failure_report f in
+          let contains needle =
+            let n = String.length needle and h = String.length report in
+            let rec go i =
+              i + n <= h && (String.sub report i n = needle || go (i + 1))
+            in
+            go 0
+          in
+          Alcotest.(check bool) "report prints the seed" true
+            (contains "seed 0x5ab07a6e");
+          Alcotest.(check bool) "report prints the chaos schedule" true
+            (contains "chaos schedule:");
+          Alcotest.(check bool)
+            ("report prints the replay command: " ^ replay)
+            true
+            (contains ("replay: " ^ replay));
+          Alcotest.(check bool) "report names the fsck violation" true
+            (contains "fsck" || contains "sabotaged"))
+    [
+      ( Soak.short_config ~seed:0x5AB07A6EL ~ops:160 (),
+        "forkbase soak --profile short --ops 160 --seed 0x5ab07a6e" );
+      (* a long-profile failure must replay the long profile's config *)
+      ( Soak.long_config ~seed:0x5AB07A6EL ~ops:160 (),
+        "forkbase soak --profile long --seconds 60 --ops 160 --seed 0x5ab07a6e"
+      );
+    ]
 
 let () =
   Alcotest.run "soak"

@@ -1,24 +1,33 @@
-(* Shared plumbing for the socket suites (test_remote, test_replica,
-   test_soak): temp store directories plus child-process servers on
-   kernel-assigned ephemeral ports.  The port discipline lives in
-   Fbremote.Procs — bind port 0 in the parent, read the real port back,
-   then fork — so concurrent test binaries never collide on a fixed
-   port, and a killed server can respawn on the same one. *)
+(* Shared plumbing for the test suites: temp store directories plus
+   child-process servers on kernel-assigned ephemeral ports.  The port
+   discipline lives in Fbremote.Procs — bind port 0 in the parent, read
+   the real port back, then fork — so concurrent test binaries never
+   collide on a fixed port, and a killed server can respawn on the same
+   one. *)
 
 module Procs = Fbremote.Procs
 module Proc = Fbreplica.Proc
 module Server = Fbremote.Server
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* A fresh directory for [f], removed afterwards; pid + counter names
+   never collide within or across test processes. *)
+let temp_counter = ref 0
+
 let with_temp_dir f =
+  incr temp_counter;
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbtestnet-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
+      (Printf.sprintf "fbtestnet-%d-%d" (Unix.getpid ()) !temp_counter)
   in
   Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
 let with_temp_dirs2 f =
