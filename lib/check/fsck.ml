@@ -259,7 +259,7 @@ let parse_index payload =
     Array.make n { e_cid = Cid.null; e_count = 0; e_span = 0; e_last_key = "" }
   in
   for i = 0 to n - 1 do
-    let e_cid = Cid.of_raw (Codec.read_raw r 32) in
+    let e_cid = Codec.read Cid.codec r in
     let e_count = Codec.read_varint r in
     let e_span = Codec.read_varint r in
     let e_last_key = Codec.read_string r in

@@ -7,6 +7,7 @@ let of_raw s =
   s
 
 let to_raw t = t
+let codec = Fbutil.Codec.fixed size
 let of_hex h = of_raw (Fbutil.Hex.decode h)
 let to_hex = Fbutil.Hex.encode
 let short_hex t = String.sub (to_hex t) 0 8

@@ -11,6 +11,11 @@ val of_raw : string -> t
 (** @raise Invalid_argument if the input is not exactly 32 bytes. *)
 
 val to_raw : t -> string
+
+val codec : t Fbutil.Codec.t
+(** The 32 raw bytes, unprefixed: how every wire message, journal record
+    and chunk payload lays out a cid. *)
+
 val of_hex : string -> t
 val to_hex : t -> string
 val short_hex : t -> string

@@ -21,7 +21,7 @@ let to_chunk t =
   Codec.string buf t.key;
   Codec.string buf t.data;
   Codec.varint buf t.depth;
-  Codec.list buf (fun b cid -> Codec.raw b (Cid.to_raw cid)) t.bases;
+  Codec.list buf (Codec.write Cid.codec) t.bases;
   Codec.string buf t.context;
   Chunk.v Chunk.Meta (Buffer.contents buf)
 
@@ -32,7 +32,7 @@ let of_chunk chunk =
   let key = Codec.read_string r in
   let data = Codec.read_string r in
   let depth = Codec.read_varint r in
-  let bases = Codec.read_list r (fun r -> Cid.of_raw (Codec.read_raw r 32)) in
+  let bases = Codec.read_list r (Codec.read Cid.codec) in
   let context = Codec.read_string r in
   Codec.expect_end r;
   { kind; key; data; depth; bases; context }

@@ -94,18 +94,21 @@ let no_block_in_loop graph =
 
 (* Every [Wire.request] variant must be (a) dispatched by a [server.ml]
    match case, (b) constructible from [client.ml], and (c) exercised by
-   the codec round-trip generators in [test_remote.ml].  Presence is
-   judged per role file, and a role absent from the analyzed set is
-   skipped — linting a subtree never invents drift. *)
+   the codec round-trip generators in [test_remote.ml] — and (c) holds
+   for every [Wire.response] variant too: decoding dispatches through a
+   table derived from the codec's cases, so a case's layout is exercised
+   only when a test encodes that variant.
+   Presence is judged per role file, and a role absent from the analyzed
+   set is skipped — linting a subtree never invents drift. *)
 
-let request_variants (structure : Parsetree.structure) =
+let variants_of type_name (structure : Parsetree.structure) =
   List.concat_map
     (fun (item : Parsetree.structure_item) ->
       match item.pstr_desc with
       | Pstr_type (_, decls) ->
           List.concat_map
             (fun (d : Parsetree.type_declaration) ->
-              if String.equal d.ptype_name.txt "request" then
+              if String.equal d.ptype_name.txt type_name then
                 match d.ptype_kind with
                 | Ptype_variant constructors ->
                     List.map
@@ -152,8 +155,7 @@ let wire_exhaustiveness units =
   match find wire_scope with
   | None -> []
   | Some (wire_file, wire_structure) ->
-      let variants = request_variants wire_structure in
-      let role scope used_of describe =
+      let role ?(type_name = "request") scope used_of describe =
         match find scope with
         | None -> []
         | Some (_, structure) ->
@@ -164,8 +166,8 @@ let wire_exhaustiveness units =
                 else
                   Some
                     (F.v ~rule:F.Wire_exhaustiveness ~file:wire_file ~line
-                       (Printf.sprintf "request variant %s %s" name describe)))
-              variants
+                       (Printf.sprintf "%s variant %s %s" type_name name describe)))
+              (variants_of type_name wire_structure)
       in
       role server_scope fst
         "is not dispatched by server.ml: a client sending it gets a decode \
@@ -176,6 +178,9 @@ let wire_exhaustiveness units =
       @ role test_remote_scope snd
           "has no codec round-trip in test_remote.ml: add it to the \
            request generator"
+      @ role ~type_name:"response" test_remote_scope snd
+          "has no codec round-trip in test_remote.ml: add it to the \
+           response generator"
 
 (* ------------------------------------------------------------------ *)
 (* fd-discipline                                                       *)

@@ -7,7 +7,7 @@
    keeps exactly the committed prefix.  Decode failures anywhere before
    the tail are real corruption and raise {!Fbutil.Codec.Corrupt}. *)
 
-module Codec = Fbutil.Codec
+module C = Fbutil.Codec
 module Cid = Fbchunk.Cid
 module Db = Forkbase.Db
 module Branch_table = Forkbase.Branch_table
@@ -18,103 +18,48 @@ type record =
 
 type t = { file : string; oc : out_channel }
 
-let enc_cid buf cid = Codec.raw buf (Cid.to_raw cid)
-let dec_cid r = Cid.of_raw (Codec.read_raw r 32)
-
-let enc_tagged buf (name, uid) =
-  Codec.string buf name;
-  enc_cid buf uid
-
-let dec_tagged r =
-  let name = Codec.read_string r in
-  (name, dec_cid r)
-
-let enc_snapshot buf (key, s) =
-  Codec.string buf key;
-  Codec.list buf enc_tagged s.Branch_table.snap_tagged;
-  Codec.list buf enc_cid s.Branch_table.snap_untagged;
-  Codec.list buf enc_cid s.Branch_table.snap_known
-
-let dec_snapshot r =
-  let key = Codec.read_string r in
-  let snap_tagged = Codec.read_list r dec_tagged in
-  let snap_untagged = Codec.read_list r dec_cid in
-  let snap_known = Codec.read_list r dec_cid in
-  (key, { Branch_table.snap_tagged; snap_untagged; snap_known })
-
-let encode_record buf = function
-  | Mutation (Db.Set_head { key; branch; uid }) ->
-      Buffer.add_char buf 'H';
-      Codec.string buf key;
-      Codec.string buf branch;
-      enc_cid buf uid
-  | Mutation (Db.Record_object { key; uid; bases }) ->
-      Buffer.add_char buf 'O';
-      Codec.string buf key;
-      enc_cid buf uid;
-      Codec.list buf enc_cid bases
-  | Mutation (Db.Rename { key; old_name; new_name }) ->
-      Buffer.add_char buf 'N';
-      Codec.string buf key;
-      Codec.string buf old_name;
-      Codec.string buf new_name
-  | Mutation (Db.Remove_branch { key; branch }) ->
-      Buffer.add_char buf 'D';
-      Codec.string buf key;
-      Codec.string buf branch
-  | Mutation (Db.Replace_untagged { key; drop; add }) ->
-      Buffer.add_char buf 'U';
-      Codec.string buf key;
-      Codec.list buf enc_cid drop;
-      enc_cid buf add
-  | Checkpoint snaps ->
-      Buffer.add_char buf 'C';
-      Codec.list buf enc_snapshot snaps
-
-let decode_record r =
-  match Codec.read_byte r with
-  | 'H' ->
-      let key = Codec.read_string r in
-      let branch = Codec.read_string r in
-      Mutation (Db.Set_head { key; branch; uid = dec_cid r })
-  | 'O' ->
-      let key = Codec.read_string r in
-      let uid = dec_cid r in
-      Mutation (Db.Record_object { key; uid; bases = Codec.read_list r dec_cid })
-  | 'N' ->
-      let key = Codec.read_string r in
-      let old_name = Codec.read_string r in
-      Mutation (Db.Rename { key; old_name; new_name = Codec.read_string r })
-  | 'D' ->
-      let key = Codec.read_string r in
-      Mutation (Db.Remove_branch { key; branch = Codec.read_string r })
-  | 'U' ->
-      let key = Codec.read_string r in
-      let drop = Codec.read_list r dec_cid in
-      Mutation (Db.Replace_untagged { key; drop; add = dec_cid r })
-  | 'C' -> Checkpoint (Codec.read_list r dec_snapshot)
-  | c -> raise (Codec.Corrupt (Printf.sprintf "journal: bad record tag %C" c))
+(* Each record kind is one case: tag byte, field layout and constructor
+   stated once (see {!Fbutil.Codec.variant}). *)
+let record =
+  let cases = C.cases "journal record" in
+  let case tag arg inj = C.case cases tag arg inj in
+  let set_head = case 'H' C.(triple str str Cid.codec) (fun (key, branch, uid) ->
+      Mutation (Db.Set_head { key; branch; uid })) in
+  let record_object = case 'O' C.(triple str Cid.codec (seq Cid.codec)) (fun (key, uid, b) ->
+      Mutation (Db.Record_object { key; uid; bases = b })) in
+  let rename = case 'N' C.(triple str str str) (fun (key, old_name, new_name) ->
+      Mutation (Db.Rename { key; old_name; new_name })) in
+  let remove_branch = case 'D' C.(pair str str) (fun (key, branch) ->
+      Mutation (Db.Remove_branch { key; branch })) in
+  let replace_untagged = case 'U' C.(triple str (seq Cid.codec) Cid.codec) (fun (key, d, a) ->
+      Mutation (Db.Replace_untagged { key; drop = d; add = a })) in
+  let snapshot =
+    C.conv
+      (fun (key, s) -> Branch_table.(key, s.snap_tagged, s.snap_untagged, s.snap_known))
+      (fun (key, snap_tagged, snap_untagged, snap_known) ->
+        (key, { Branch_table.snap_tagged; snap_untagged; snap_known }))
+      C.(quad str (seq (pair str Cid.codec)) (seq Cid.codec) (seq Cid.codec))
+  in
+  let checkpoint = case 'C' (C.seq snapshot) (fun snaps -> Checkpoint snaps) in
+  C.variant cases (function
+    | Mutation (Db.Set_head { key; branch; uid }) -> set_head (key, branch, uid)
+    | Mutation (Db.Record_object { key; uid; bases }) -> record_object (key, uid, bases)
+    | Mutation (Db.Rename { key; old_name; new_name }) -> rename (key, old_name, new_name)
+    | Mutation (Db.Remove_branch { key; branch }) -> remove_branch (key, branch)
+    | Mutation (Db.Replace_untagged { key; drop; add }) -> replace_untagged (key, drop, add)
+    | Checkpoint snaps -> checkpoint snaps)
 
 (* Entry body: the writer-assigned sequence number, then the records.
    Shipping this exact encoding over the wire keeps primary and follower
    journal files byte-identical for shared entries. *)
-let encode_entry ~seq records =
-  let buf = Buffer.create 256 in
-  Codec.varint buf seq;
-  Codec.list buf encode_record records;
-  Buffer.contents buf
-
-let decode_entry s =
-  let r = Codec.reader s in
-  let seq = Codec.read_varint r in
-  let records = Codec.read_list r decode_record in
-  Codec.expect_end r;
-  (seq, records)
+let entry = C.(pair uint (seq record))
+let encode_entry ~seq records = C.encode ~size:256 entry (seq, records)
+let decode_entry = C.decode entry
 
 let frame ~seq records =
   let body = encode_entry ~seq records in
   let buf = Buffer.create (String.length body + 4) in
-  Codec.varint buf (String.length body);
+  C.varint buf (String.length body);
   Buffer.add_string buf body;
   Buffer.contents buf
 
@@ -130,10 +75,10 @@ let read_varint_opt ic =
       let rec loop shift acc b =
         let acc = acc lor ((b land 0x7f) lsl shift) in
         if b land 0x80 = 0 then
-          if acc < 0 then raise (Codec.Corrupt "journal: negative entry length")
+          if acc < 0 then raise (C.Corrupt "journal: negative entry length")
           else Some acc
         else if shift >= 56 then
-          raise (Codec.Corrupt "journal: entry length varint too long")
+          raise (C.Corrupt "journal: entry length varint too long")
         else
           match input_char ic with
           | exception End_of_file -> None

@@ -65,7 +65,7 @@ module Make (E : ELEM) = struct
     Codec.varint payload (List.length entries);
     List.iter
       (fun e ->
-        Codec.raw payload (Cid.to_raw e.cid);
+        Codec.write Cid.codec payload e.cid;
         Codec.varint payload e.count;
         Codec.varint payload e.span;
         Codec.string payload e.last_key)
@@ -77,7 +77,7 @@ module Make (E : ELEM) = struct
     let n = Codec.read_varint r in
     let a = Array.make n { cid = Cid.null; count = 0; span = 0; last_key = "" } in
     for i = 0 to n - 1 do
-      let cid = Cid.of_raw (Codec.read_raw r 32) in
+      let cid = Codec.read Cid.codec r in
       let count = Codec.read_varint r in
       let span = Codec.read_varint r in
       let last_key = Codec.read_string r in

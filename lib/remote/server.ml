@@ -448,6 +448,10 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
              let held, response =
                match Wire.decode_request frame with
                | exception Fbutil.Codec.Corrupt msg ->
+                   (* The frame boundary held but the body is not a
+                      request: the same protocol violation as an oversized
+                      frame — answer, then drop the connection. *)
+                   drain c Err_close;
                    (c.holding, Wire.Error ("bad request: " ^ msg))
                | Wire.Quit ->
                    drain c Ok_close;

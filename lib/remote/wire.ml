@@ -1,4 +1,4 @@
-module Codec = Fbutil.Codec
+module C = Fbutil.Codec
 module Cid = Fbchunk.Cid
 
 type value =
@@ -80,322 +80,142 @@ type response =
   | Retry of { reason : string }
   | Error of string
 
-let enc_cid buf cid = Codec.raw buf (Cid.to_raw cid)
-let dec_cid r = Cid.of_raw (Codec.read_raw r 32)
+(* Every layout is stated once, as a {!Fbutil.Codec} value: a variant's
+   tag byte, field layout and constructor live in one case, the encoder
+   is an exhaustive match handing each constructor's fields to its case,
+   and the decoder dispatches through the table the cases registered. *)
 
-let enc_shard_map buf m =
-  Codec.varint buf m.version;
-  Codec.list buf
-    (fun buf (host, port) ->
-      Codec.string buf host;
-      Codec.varint buf port)
-    (Array.to_list m.shards);
-  Codec.list buf Codec.string m.pending
+let shard_map =
+  C.conv
+    (fun m -> (m.version, Array.to_list m.shards, m.pending))
+    (fun (version, shards, pending) -> { version; shards = Array.of_list shards; pending })
+    C.(triple uint (seq (pair str uint)) (seq str))
 
-let dec_shard_map r =
-  let version = Codec.read_varint r in
-  let shards =
-    Codec.read_list r (fun r ->
-        let host = Codec.read_string r in
-        (host, Codec.read_varint r))
-  in
-  let pending = Codec.read_list r Codec.read_string in
-  { version; shards = Array.of_list shards; pending }
+let value =
+  let cases = C.cases "wire value" in
+  let str = C.case cases 's' C.str (fun s -> Str s) in
+  let blob = C.case cases 'b' C.str (fun b -> Blob b) in
+  let list = C.case cases 'l' (C.seq C.str) (fun l -> List l) in
+  let map = C.case cases 'm' (C.seq (C.pair C.str C.str)) (fun kvs -> Map kvs) in
+  let set = C.case cases 'e' (C.seq C.str) (fun ms -> Set ms) in
+  C.variant cases (function
+    | Str s -> str s
+    | Blob b -> blob b
+    | List l -> list l
+    | Map kvs -> map kvs
+    | Set ms -> set ms)
 
-let encode_shard_map m =
-  let buf = Buffer.create 64 in
-  enc_shard_map buf m;
-  Buffer.contents buf
+let request =
+  let cases = C.cases "wire request" in
+  let case tag arg inj = C.case cases tag arg inj and const = C.const cases in
+  let put = case 'P' C.(quad str str str value) (fun (key, branch, context, value) ->
+      Put { key; branch; context; value }) in
+  let get = case 'G' C.(pair str str) (fun (key, branch) -> Get { key; branch }) in
+  let get_version = case 'V' Cid.codec (fun uid -> Get_version { uid }) in
+  let fork = case 'F' C.(triple str str str) (fun (key, from_branch, new_branch) ->
+      Fork { key; from_branch; new_branch }) in
+  let merge = case 'M' C.(quad str str str str) (fun (key, target, ref_branch, resolver) ->
+      Merge { key; target; ref_branch; resolver }) in
+  let track = case 'T' C.(quad str str uint uint) (fun (key, branch, lo, hi) ->
+      Track { key; branch; lo; hi }) in
+  let list_keys = const 'K' List_keys in
+  let list_branches = case 'B' C.str (fun key -> List_branches { key }) in
+  let verify = case 'Y' Cid.codec (fun uid -> Verify { uid }) in
+  let stats = const 'S' Stats and checkpoint = const 'C' Checkpoint in
+  let pull_journal = case 'J' C.uint (fun from_seq -> Pull_journal { from_seq }) in
+  let fetch_chunks = case 'X' (C.seq Cid.codec) (fun cids -> Fetch_chunks { cids }) in
+  let get_map = const 'W' Get_map in
+  let set_map = case 'I' shard_map (fun map -> Set_map { map }) in
+  let push_chunks = case 'U' C.(seq str) (fun chunks -> Push_chunks { chunks }) in
+  let restore_branch = case 'R' C.(triple str str Cid.codec) (fun (key, branch, uid) ->
+      Restore_branch { key; branch; uid }) in
+  let export_key = case 'E' C.str (fun key -> Export_key { key }) in
+  let quit = const 'Q' Quit in
+  C.variant cases (function
+    | Put { key; branch; context; value } -> put (key, branch, context, value)
+    | Get { key; branch } -> get (key, branch)
+    | Get_version { uid } -> get_version uid
+    | Fork { key; from_branch; new_branch } -> fork (key, from_branch, new_branch)
+    | Merge { key; target; ref_branch; resolver } -> merge (key, target, ref_branch, resolver)
+    | Track { key; branch; lo; hi } -> track (key, branch, lo, hi)
+    | List_keys -> list_keys
+    | List_branches { key } -> list_branches key
+    | Verify { uid } -> verify uid
+    | Stats -> stats
+    | Checkpoint -> checkpoint
+    | Pull_journal { from_seq } -> pull_journal from_seq
+    | Fetch_chunks { cids } -> fetch_chunks cids
+    | Get_map -> get_map
+    | Set_map { map } -> set_map map
+    | Push_chunks { chunks } -> push_chunks chunks
+    | Restore_branch { key; branch; uid } -> restore_branch (key, branch, uid)
+    | Export_key { key } -> export_key key
+    | Quit -> quit)
 
-let decode_shard_map s =
-  let r = Codec.reader s in
-  let m = dec_shard_map r in
-  Codec.expect_end r;
-  m
-
-let enc_pair buf (k, v) =
-  Codec.string buf k;
-  Codec.string buf v
-
-let dec_pair r =
-  let k = Codec.read_string r in
-  let v = Codec.read_string r in
-  (k, v)
-
-let encode_value buf = function
-  | Str s ->
-      Buffer.add_char buf 's';
-      Codec.string buf s
-  | Blob b ->
-      Buffer.add_char buf 'b';
-      Codec.string buf b
-  | List l ->
-      Buffer.add_char buf 'l';
-      Codec.list buf Codec.string l
-  | Map kvs ->
-      Buffer.add_char buf 'm';
-      Codec.list buf enc_pair kvs
-  | Set ms ->
-      Buffer.add_char buf 'e';
-      Codec.list buf Codec.string ms
-
-let decode_value r =
-  match Codec.read_byte r with
-  | 's' -> Str (Codec.read_string r)
-  | 'b' -> Blob (Codec.read_string r)
-  | 'l' -> List (Codec.read_list r Codec.read_string)
-  | 'm' -> Map (Codec.read_list r dec_pair)
-  | 'e' -> Set (Codec.read_list r Codec.read_string)
-  | c -> raise (Codec.Corrupt (Printf.sprintf "wire: bad value tag %C" c))
-
-let encode_request req =
-  let buf = Buffer.create 128 in
-  (match req with
-  | Put { key; branch; context; value } ->
-      Buffer.add_char buf 'P';
-      Codec.string buf key;
-      Codec.string buf branch;
-      Codec.string buf context;
-      encode_value buf value
-  | Get { key; branch } ->
-      Buffer.add_char buf 'G';
-      Codec.string buf key;
-      Codec.string buf branch
-  | Get_version { uid } ->
-      Buffer.add_char buf 'V';
-      enc_cid buf uid
-  | Fork { key; from_branch; new_branch } ->
-      Buffer.add_char buf 'F';
-      Codec.string buf key;
-      Codec.string buf from_branch;
-      Codec.string buf new_branch
-  | Merge { key; target; ref_branch; resolver } ->
-      Buffer.add_char buf 'M';
-      Codec.string buf key;
-      Codec.string buf target;
-      Codec.string buf ref_branch;
-      Codec.string buf resolver
-  | Track { key; branch; lo; hi } ->
-      Buffer.add_char buf 'T';
-      Codec.string buf key;
-      Codec.string buf branch;
-      Codec.varint buf lo;
-      Codec.varint buf hi
-  | List_keys -> Buffer.add_char buf 'K'
-  | List_branches { key } ->
-      Buffer.add_char buf 'B';
-      Codec.string buf key
-  | Verify { uid } ->
-      Buffer.add_char buf 'Y';
-      enc_cid buf uid
-  | Stats -> Buffer.add_char buf 'S'
-  | Checkpoint -> Buffer.add_char buf 'C'
-  | Pull_journal { from_seq } ->
-      Buffer.add_char buf 'J';
-      Codec.varint buf from_seq
-  | Fetch_chunks { cids } ->
-      Buffer.add_char buf 'X';
-      Codec.list buf enc_cid cids
-  | Get_map -> Buffer.add_char buf 'W'
-  | Set_map { map } ->
-      Buffer.add_char buf 'I';
-      enc_shard_map buf map
-  | Push_chunks { chunks } ->
-      Buffer.add_char buf 'U';
-      Codec.list buf Codec.string chunks
-  | Restore_branch { key; branch; uid } ->
-      Buffer.add_char buf 'R';
-      Codec.string buf key;
-      Codec.string buf branch;
-      enc_cid buf uid
-  | Export_key { key } ->
-      Buffer.add_char buf 'E';
-      Codec.string buf key
-  | Quit -> Buffer.add_char buf 'Q');
-  Buffer.contents buf
-
-let decode_request s =
-  let r = Codec.reader s in
-  let req =
-    match Codec.read_byte r with
-    | 'P' ->
-        let key = Codec.read_string r in
-        let branch = Codec.read_string r in
-        let context = Codec.read_string r in
-        let value = decode_value r in
-        Put { key; branch; context; value }
-    | 'G' ->
-        let key = Codec.read_string r in
-        let branch = Codec.read_string r in
-        Get { key; branch }
-    | 'V' -> Get_version { uid = dec_cid r }
-    | 'F' ->
-        let key = Codec.read_string r in
-        let from_branch = Codec.read_string r in
-        let new_branch = Codec.read_string r in
-        Fork { key; from_branch; new_branch }
-    | 'M' ->
-        let key = Codec.read_string r in
-        let target = Codec.read_string r in
-        let ref_branch = Codec.read_string r in
-        let resolver = Codec.read_string r in
-        Merge { key; target; ref_branch; resolver }
-    | 'T' ->
-        let key = Codec.read_string r in
-        let branch = Codec.read_string r in
-        let lo = Codec.read_varint r in
-        let hi = Codec.read_varint r in
-        Track { key; branch; lo; hi }
-    | 'K' -> List_keys
-    | 'B' -> List_branches { key = Codec.read_string r }
-    | 'Y' -> Verify { uid = dec_cid r }
-    | 'S' -> Stats
-    | 'C' -> Checkpoint
-    | 'J' -> Pull_journal { from_seq = Codec.read_varint r }
-    | 'X' -> Fetch_chunks { cids = Codec.read_list r dec_cid }
-    | 'W' -> Get_map
-    | 'I' -> Set_map { map = dec_shard_map r }
-    | 'U' -> Push_chunks { chunks = Codec.read_list r Codec.read_string }
-    | 'R' ->
-        let key = Codec.read_string r in
-        let branch = Codec.read_string r in
-        Restore_branch { key; branch; uid = dec_cid r }
-    | 'E' -> Export_key { key = Codec.read_string r }
-    | 'Q' -> Quit
-    | c -> raise (Codec.Corrupt (Printf.sprintf "wire: bad request tag %C" c))
-  in
-  Codec.expect_end r;
-  req
-
-let encode_response resp =
-  let buf = Buffer.create 128 in
-  (match resp with
-  | Uid uid ->
-      Buffer.add_char buf 'u';
-      enc_cid buf uid
-  | Value v ->
-      Buffer.add_char buf 'v';
-      encode_value buf v
-  | Ok_unit -> Buffer.add_char buf 'o'
-  | Keys ks ->
-      Buffer.add_char buf 'k';
-      Codec.list buf Codec.string ks
-  | Branches bs ->
-      Buffer.add_char buf 'r';
-      Codec.list buf
-        (fun buf (name, uid) ->
-          Codec.string buf name;
-          enc_cid buf uid)
-        bs
-  | History hs ->
-      Buffer.add_char buf 'h';
-      Codec.list buf
-        (fun buf (dist, uid) ->
-          Codec.varint buf dist;
-          enc_cid buf uid)
-        hs
-  | Bool b ->
-      Buffer.add_char buf 't';
-      Codec.bool buf b
-  | Stats_r s ->
-      Buffer.add_char buf 's';
-      List.iter (Codec.varint buf)
-        [ s.chunks; s.bytes; s.puts; s.dedup_hits; s.gets; s.misses; s.keys;
-          s.branches; s.journal_seq; s.journal_bytes; s.accepted; s.active;
-          s.closed_ok; s.closed_err; s.frames_in; s.frames_out; s.timeouts;
-          s.group_commits; s.acks_released;
-          (* varints reject negatives, so the "not a shard" index -1
-             travels as 0 and real indices as index + 1 *)
-          s.shard_index + 1; s.map_version ]
-  | Reclaimed { chunks; bytes } ->
-      Buffer.add_char buf 'c';
-      Codec.varint buf chunks;
-      Codec.varint buf bytes
-  | Journal_batch { primary_seq; entries } ->
-      Buffer.add_char buf 'j';
-      Codec.varint buf primary_seq;
-      Codec.list buf Codec.string entries
-  | Chunks chunks ->
-      Buffer.add_char buf 'n';
-      Codec.list buf Codec.string chunks
-  | Redirect { host; port } ->
-      Buffer.add_char buf 'd';
-      Codec.string buf host;
-      Codec.varint buf port
-  | Map_r m ->
-      Buffer.add_char buf 'm';
-      enc_shard_map buf m
-  | Retry { reason } ->
-      Buffer.add_char buf 'y';
-      Codec.string buf reason
-  | Error msg ->
-      Buffer.add_char buf 'x';
-      Codec.string buf msg);
-  Buffer.contents buf
-
-let decode_response s =
-  let r = Codec.reader s in
-  let resp =
-    match Codec.read_byte r with
-    | 'u' -> Uid (dec_cid r)
-    | 'v' -> Value (decode_value r)
-    | 'o' -> Ok_unit
-    | 'k' -> Keys (Codec.read_list r Codec.read_string)
-    | 'r' ->
-        Branches
-          (Codec.read_list r (fun r ->
-               let name = Codec.read_string r in
-               (name, dec_cid r)))
-    | 'h' ->
-        History
-          (Codec.read_list r (fun r ->
-               let dist = Codec.read_varint r in
-               (dist, dec_cid r)))
-    | 't' -> Bool (Codec.read_bool r)
-    | 's' ->
-        let chunks = Codec.read_varint r in
-        let bytes = Codec.read_varint r in
-        let puts = Codec.read_varint r in
-        let dedup_hits = Codec.read_varint r in
-        let gets = Codec.read_varint r in
-        let misses = Codec.read_varint r in
-        let keys = Codec.read_varint r in
-        let branches = Codec.read_varint r in
-        let journal_seq = Codec.read_varint r in
-        let journal_bytes = Codec.read_varint r in
-        let accepted = Codec.read_varint r in
-        let active = Codec.read_varint r in
-        let closed_ok = Codec.read_varint r in
-        let closed_err = Codec.read_varint r in
-        let frames_in = Codec.read_varint r in
-        let frames_out = Codec.read_varint r in
-        let timeouts = Codec.read_varint r in
-        let group_commits = Codec.read_varint r in
-        let acks_released = Codec.read_varint r in
-        let shard_index = Codec.read_varint r - 1 in
-        let map_version = Codec.read_varint r in
-        Stats_r
+(* A fixed run of 21 varints.  Varints reject negatives, so the "not a
+   shard" index -1 travels as 0 and real indices as index + 1. *)
+let stats =
+  C.conv
+    (fun s ->
+      [ s.chunks; s.bytes; s.puts; s.dedup_hits; s.gets; s.misses; s.keys;
+        s.branches; s.journal_seq; s.journal_bytes; s.accepted; s.active;
+        s.closed_ok; s.closed_err; s.frames_in; s.frames_out; s.timeouts;
+        s.group_commits; s.acks_released; s.shard_index + 1; s.map_version ])
+    (function
+      | [ chunks; bytes; puts; dedup_hits; gets; misses; keys; branches;
+          journal_seq; journal_bytes; accepted; active; closed_ok; closed_err;
+          frames_in; frames_out; timeouts; group_commits; acks_released;
+          shard_index; map_version ] ->
           { chunks; bytes; puts; dedup_hits; gets; misses; keys; branches;
             journal_seq; journal_bytes; accepted; active; closed_ok;
             closed_err; frames_in; frames_out; timeouts; group_commits;
-            acks_released; shard_index; map_version }
-    | 'c' ->
-        let chunks = Codec.read_varint r in
-        Reclaimed { chunks; bytes = Codec.read_varint r }
-    | 'j' ->
-        let primary_seq = Codec.read_varint r in
-        Journal_batch { primary_seq; entries = Codec.read_list r Codec.read_string }
-    | 'n' -> Chunks (Codec.read_list r Codec.read_string)
-    | 'd' ->
-        let host = Codec.read_string r in
-        Redirect { host; port = Codec.read_varint r }
-    | 'm' -> Map_r (dec_shard_map r)
-    | 'y' -> Retry { reason = Codec.read_string r }
-    | 'x' -> Error (Codec.read_string r)
-    | c -> raise (Codec.Corrupt (Printf.sprintf "wire: bad response tag %C" c))
-  in
-  Codec.expect_end r;
-  resp
+            acks_released; shard_index = shard_index - 1; map_version }
+      | _ -> raise (C.Corrupt "wire: stats are 21 varints"))
+    (C.repeat 21 C.uint)
+
+let response =
+  let cases = C.cases "wire response" in
+  let case tag arg inj = C.case cases tag arg inj in
+  let uid = case 'u' Cid.codec (fun uid -> Uid uid) in
+  let value = case 'v' value (fun v -> Value v) in
+  let ok_unit = C.const cases 'o' Ok_unit in
+  let keys = case 'k' C.(seq str) (fun ks -> Keys ks) in
+  let branches = case 'r' C.(seq (pair str Cid.codec)) (fun bs -> Branches bs) in
+  let history = case 'h' C.(seq (pair uint Cid.codec)) (fun hs -> History hs) in
+  let bool = case 't' C.flag (fun b -> Bool b) in
+  let stats = case 's' stats (fun s -> Stats_r s) in
+  let reclaimed = case 'c' C.(pair uint uint) (fun (chunks, bytes) ->
+      Reclaimed { chunks; bytes }) in
+  let journal_batch = case 'j' C.(pair uint (seq str)) (fun (primary_seq, entries) ->
+      Journal_batch { primary_seq; entries }) in
+  let chunks = case 'n' C.(seq str) (fun cs -> Chunks cs) in
+  let redirect = case 'd' C.(pair str uint) (fun (host, port) -> Redirect { host; port }) in
+  let map = case 'm' shard_map (fun m -> Map_r m) in
+  let retry = case 'y' C.str (fun reason -> Retry { reason }) in
+  let error = case 'x' C.str (fun msg -> Error msg) in
+  C.variant cases (function
+    | Uid u -> uid u
+    | Value v -> value v
+    | Ok_unit -> ok_unit
+    | Keys ks -> keys ks
+    | Branches bs -> branches bs
+    | History hs -> history hs
+    | Bool b -> bool b
+    | Stats_r s -> stats s
+    | Reclaimed { chunks; bytes } -> reclaimed (chunks, bytes)
+    | Journal_batch { primary_seq; entries } -> journal_batch (primary_seq, entries)
+    | Chunks cs -> chunks cs
+    | Redirect { host; port } -> redirect (host, port)
+    | Map_r m -> map m
+    | Retry { reason } -> retry reason
+    | Error msg -> error msg)
+
+let encode_shard_map = C.encode shard_map
+let decode_shard_map = C.decode shard_map
+let encode_request = C.encode ~size:128 request
+let decode_request = C.decode request
+let encode_response = C.encode ~size:128 response
+let decode_response = C.decode response
 
 (* --- framing --- *)
 
@@ -459,7 +279,7 @@ let frame_length b0 b1 b2 b3 =
 let check_frame_length ~max_frame_bytes n =
   if n > max_frame_bytes then
     raise
-      (Codec.Corrupt
+      (C.Corrupt
          (Printf.sprintf "frame length %d exceeds limit %d" n max_frame_bytes))
 
 let write_frame fd body =

@@ -2,11 +2,16 @@
     be used as an embedded storage or run as a distributed service").
 
     Messages are length-prefixed (fixed 4-byte big-endian frame length)
-    followed by a {!Fbutil.Codec}-encoded body.  Values travel as
-    [(kind, content)] pairs: raw bytes for blobs/strings, separator-joined
-    element lists for List/Map/Set — the server rebuilds the chunkable
-    object locally, mirroring how a ForkBase client ships buffered updates
-    to its servlet. *)
+    followed by a body whose layout lives in one case table per message
+    type ([wire.ml]): each {!request}, {!response} and {!value}
+    constructor is one {!Fbutil.Codec.case} giving its tag byte and field
+    layout, the encoder is an exhaustive match over the type, and the
+    decoder dispatches on the tag through the table those cases fill in.
+    Values travel as a tag plus their elements (raw bytes for blobs and
+    strings, length-prefixed element lists for List/Map/Set); the server
+    rebuilds the chunkable object locally, mirroring how a ForkBase client
+    ships buffered updates to its servlet.  Decoders are total: malformed
+    input raises {!Fbutil.Codec.Corrupt} and nothing else. *)
 
 type value =
   | Str of string

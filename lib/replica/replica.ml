@@ -92,7 +92,7 @@ let chunk_children (chunk : Chunk.t) =
         raise (Codec.Corrupt "implausible index entry count");
       let acc = ref [] in
       for _ = 1 to n do
-        let cid = Cid.of_raw (Codec.read_raw r 32) in
+        let cid = Codec.read Cid.codec r in
         let _count = Codec.read_varint r in
         let _span = Codec.read_varint r in
         let _last_key = Codec.read_string r in

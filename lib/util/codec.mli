@@ -20,8 +20,6 @@ val string : Buffer.t -> string -> unit
 val raw : Buffer.t -> string -> unit
 (** Raw bytes, no prefix. *)
 
-val bool : Buffer.t -> bool -> unit
-
 val list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 (** Varint count followed by each element. *)
 
@@ -40,8 +38,64 @@ val read_int64_le : reader -> int64
 val read_string : reader -> string
 val read_raw : reader -> int -> string
 val read_byte : reader -> char
-val read_bool : reader -> bool
 val read_list : reader -> (reader -> 'a) -> 'a list
 val read_option : reader -> (reader -> 'a) -> 'a option
 val expect_end : reader -> unit
 (** Raises {!Corrupt} if any input remains. *)
+
+(** {1 Typed codecs}
+
+    An ['a t] states a layout once for both directions: a writer built on
+    the primitives above and a reader over a {!reader}. *)
+
+type 'a t
+
+val write : 'a t -> Buffer.t -> 'a -> unit
+val read : 'a t -> reader -> 'a
+
+val encode : ?size:int -> 'a t -> 'a -> string
+(** [size] is the initial buffer capacity (default 64). *)
+
+val decode : 'a t -> string -> 'a
+(** One value, then {!expect_end}.  @raise Corrupt on malformed input. *)
+
+val uint : int t
+val str : string t
+val flag : bool t
+
+val fixed : int -> string t
+(** Exactly [n] raw bytes; writing another length is [Invalid_argument]. *)
+
+val seq : 'a t -> 'a list t
+(** A varint count, then each element. *)
+
+val repeat : int -> 'a t -> 'a list t
+(** Exactly [n] elements, no count. *)
+
+val conv : ('b -> 'a) -> ('a -> 'b) -> 'a t -> 'b t
+val pair : 'a t -> 'b t -> ('a * 'b) t
+val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
+val quad : 'a t -> 'b t -> 'c t -> 'd t -> ('a * 'b * 'c * 'd) t
+
+(** {2 Tagged variants}
+
+    One {!case} per constructor states its tag byte, argument layout and
+    injection.  {!variant}'s encoder is an exhaustive [match] handing each
+    constructor's argument to its case; its decoder dispatches on the tag
+    through the table the cases registered in. *)
+
+type 'v cases
+type 'v choice
+
+val cases : string -> 'v cases
+(** An empty tag table; the name prefixes "bad tag" errors. *)
+
+val case : 'v cases -> char -> 'a t -> ('a -> 'v) -> 'a -> 'v choice
+(** [case cs tag arg inj] registers [inj] of [arg] under [tag] and
+    returns the encoder's side of the case.
+    @raise Invalid_argument if [tag] is already registered. *)
+
+val const : 'v cases -> char -> 'v -> 'v choice
+(** A constructor without arguments: the tag alone. *)
+
+val variant : 'v cases -> ('v -> 'v choice) -> 'v t

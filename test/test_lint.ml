@@ -238,7 +238,7 @@ let server_dispatch_all =
   "let handle = function Wire.Ping -> 0 | Wire.Pong n -> n"
 
 let client_builds_all = "let f n = (Wire.Ping, Wire.Pong n)"
-let test_round_trips_all = "let gen n = [ Wire.Ping; Wire.Pong n ]"
+let test_round_trips_all = "let gen n = ([ Wire.Ping; Wire.Pong n ], Wire.Done)"
 
 let test_wire_exhaustiveness () =
   check_ids "all three roles covered is clean" []
@@ -266,7 +266,14 @@ let test_wire_exhaustiveness () =
     (Lint.lint_sources
        [
          ("lib/remote/wire.ml", wire_fixture);
-         ("test/test_remote.ml", "let gen () = [ Wire.Ping ]");
+         ("test/test_remote.ml", "let gen () = ([ Wire.Ping ], Wire.Done)");
+       ]);
+  check_ids "response missing from the codec round-trip fires"
+    [ "wire-exhaustiveness" ]
+    (Lint.lint_sources
+       [
+         ("lib/remote/wire.ml", wire_fixture);
+         ("test/test_remote.ml", "let gen n = [ Wire.Ping; Wire.Pong n ]");
        ]);
   (* a role absent from the analyzed set is skipped: linting a subtree
      never invents drift *)

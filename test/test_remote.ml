@@ -1,4 +1,5 @@
-(* The network service: wire codecs (property-tested), a real TCP round
+(* The network service: wire and journal codecs (property-tested,
+   byte-pinned, total on hostile input), a real TCP round
    trip against a forked server process, and fault isolation of the
    multiplexed event loop — concurrent clients, a client SIGKILLed
    mid-request, oversized/truncated frames, idle timeouts. *)
@@ -7,6 +8,7 @@ module Wire = Fbremote.Wire
 module Server = Fbremote.Server
 module Client = Fbremote.Client
 module Cid = Fbchunk.Cid
+module Journal = Fbpersist.Journal
 
 (* --- codecs --- *)
 
@@ -118,6 +120,154 @@ let prop_response_roundtrip =
   QCheck.Test.make ~name:"wire response round-trip" ~count:300
     (QCheck.make gen_response)
     (fun resp -> Wire.decode_response (Wire.encode_response resp) = resp)
+
+(* Journal entries ship inside [Journal_batch], so their records are
+   pinned and round-tripped beside the wire messages. *)
+let gen_entry =
+  QCheck.Gen.(
+    let s = small_string and cids = list_size (int_bound 3) gen_cid in
+    let snap =
+      map3
+        (fun snap_tagged snap_untagged snap_known ->
+          { Forkbase.Branch_table.snap_tagged; snap_untagged; snap_known })
+        (list_size (int_bound 3) (pair s gen_cid)) cids cids
+    in
+    let mutation m = Journal.Mutation m in
+    pair small_nat @@ list_size (int_bound 4) @@ oneof
+      [
+        map3 (fun key branch uid -> mutation (Set_head { key; branch; uid })) s s gen_cid;
+        map3 (fun key uid bases -> mutation (Record_object { key; uid; bases })) s gen_cid cids;
+        map3 (fun key old_name new_name -> mutation (Rename { key; old_name; new_name })) s s s;
+        map2 (fun key branch -> mutation (Remove_branch { key; branch })) s s;
+        map3 (fun key drop add -> mutation (Replace_untagged { key; drop; add })) s cids gen_cid;
+        map (fun snaps -> Journal.Checkpoint snaps) (list_size (int_bound 3) (pair s snap));
+      ])
+
+let encode_entry (seq, records) = Journal.encode_entry ~seq records
+
+let prop_journal_roundtrip =
+  QCheck.Test.make ~name:"journal entry round-trip" ~count:300 (QCheck.make gen_entry)
+    (fun e -> Journal.decode_entry (encode_entry e) = e)
+
+(* Golden bytes: one value of every variant pinned as hex.  Journals on
+   disk, shard-map files and followers all read these layouts, so a codec
+   change must leave every one byte-identical.  [cid_hex] is the hex of
+   [cid]. *)
+let cid = Cid.of_raw (String.make 32 '\x11')
+let cid_hex = String.make 64 '1'
+let gmap = { Wire.version = 2; shards = [| ("h", 300) |]; pending = [ "p" ] }
+
+let golden_requests =
+  Wire.
+    [
+      (Put { key = "k"; branch = "b"; context = "c"; value = Str "v" }, "50016b01620163730176");
+      (Get { key = "k"; branch = "b" }, "47016b0162");
+      (Get_version { uid = cid }, "56" ^ cid_hex);
+      (Fork { key = "k"; from_branch = "a"; new_branch = "b" }, "46016b01610162");
+      (Merge { key = "k"; target = "t"; ref_branch = "r"; resolver = "x" }, "4d016b017401720178");
+      (Track { key = "k"; branch = "b"; lo = 1; hi = 300 }, "54016b016201ac02");
+      (List_keys, "4b"); (Stats, "53"); (Checkpoint, "43"); (Get_map, "57"); (Quit, "51");
+      (List_branches { key = "k" }, "42016b");
+      (Verify { uid = cid }, "59" ^ cid_hex);
+      (Pull_journal { from_seq = 129 }, "4a8101");
+      (Fetch_chunks { cids = [ cid; cid ] }, "5802" ^ cid_hex ^ cid_hex);
+      (Set_map { map = gmap }, "4902010168ac02010170");
+      (Push_chunks { chunks = [ "ab" ] }, "5501026162");
+      (Restore_branch { key = "k"; branch = "b"; uid = cid }, "52016b0162" ^ cid_hex);
+      (Export_key { key = "k" }, "45016b");
+    ]
+
+let golden_stats =
+  { Wire.chunks = 1; bytes = 2; puts = 3; dedup_hits = 4; gets = 5; misses = 6;
+    keys = 7; branches = 8; journal_seq = 9; journal_bytes = 10; accepted = 11;
+    active = 12; closed_ok = 13; closed_err = 14; frames_in = 15;
+    frames_out = 16; timeouts = 17; group_commits = 18; acks_released = 19;
+    shard_index = -1; map_version = 21 }
+
+(* [Value] appears once per value kind *)
+let golden_responses =
+  Wire.
+    [
+      (Uid cid, "75" ^ cid_hex);
+      (Value (Str "s"), "76730173");
+      (Value (Blob "b"), "76620162");
+      (Value (List [ "x"; "y" ]), "766c0201780179");
+      (Value (Map [ ("k", "v") ]), "766d01016b0176");
+      (Value (Set [ "m" ]), "766501016d");
+      (Ok_unit, "6f"); (Bool true, "7401");
+      (Keys [ "a"; "b" ], "6b0201610162");
+      (Branches [ ("m", cid) ], "7201016d" ^ cid_hex);
+      (History [ (1, cid) ], "680101" ^ cid_hex);
+      (Stats_r golden_stats, "730102030405060708090a0b0c0d0e0f101112130015");
+      (Reclaimed { chunks = 3; bytes = 4000 }, "6303a01f");
+      (Journal_batch { primary_seq = 5; entries = [ "e" ] }, "6a05010165");
+      (Chunks [ "z" ], "6e01017a");
+      (Redirect { host = "h"; port = 80 }, "64016850");
+      (Map_r gmap, "6d02010168ac02010170");
+      (Retry { reason = "r" }, "790172");
+      (Error "e", "780165");
+    ]
+
+(* one record of every kind, each alone in an entry of seq 7 *)
+let golden_entries =
+  let snap =
+    { Forkbase.Branch_table.snap_tagged = [ ("m", cid) ]; snap_untagged = [ cid ];
+      snap_known = [ cid ] }
+  in
+  List.map (fun (r, hex) -> ((7, [ r ]), "0701" ^ hex)) Journal.
+    [
+      (Mutation (Set_head { key = "k"; branch = "b"; uid = cid }), "48016b0162" ^ cid_hex);
+      (Mutation (Record_object { key = "k"; uid = cid; bases = [ cid ] }),
+        "4f016b" ^ cid_hex ^ "01" ^ cid_hex);
+      (Mutation (Rename { key = "k"; old_name = "a"; new_name = "b" }), "4e016b01610162");
+      (Mutation (Remove_branch { key = "k"; branch = "b" }), "44016b0162");
+      (Mutation (Replace_untagged { key = "k"; drop = [ cid ]; add = cid }),
+        "55016b01" ^ cid_hex ^ cid_hex);
+      (Checkpoint [ ("k", snap) ],
+        "4301016b01016d" ^ cid_hex ^ "01" ^ cid_hex ^ "01" ^ cid_hex);
+    ]
+
+let test_golden_bytes () =
+  let check encode decode (v, hex) =
+    Alcotest.(check string) "golden bytes" hex (Fbutil.Hex.encode (encode v));
+    Alcotest.(check bool) "golden decode" true (decode (Fbutil.Hex.decode hex) = v)
+  in
+  List.iter (check Wire.encode_request Wire.decode_request) golden_requests;
+  List.iter (check Wire.encode_response Wire.decode_response) golden_responses;
+  List.iter (check encode_entry Journal.decode_entry) golden_entries;
+  check Wire.encode_shard_map Wire.decode_shard_map (gmap, "02010168ac02010170")
+
+(* Every decoder is total: on any input it returns a value or raises
+   [Codec.Corrupt], never another exception.  Inputs are random strings
+   plus truncations and single-byte overwrites of valid encodings. *)
+let decode_total s =
+  List.for_all
+    (fun decode -> match decode s with () -> true | exception Fbutil.Codec.Corrupt _ -> true)
+    [ (fun s -> ignore (Wire.decode_request s)); (fun s -> ignore (Wire.decode_response s));
+      (fun s -> ignore (Wire.decode_shard_map s)); (fun s -> ignore (Journal.decode_entry s)) ]
+
+let prop_decoders_total =
+  let truncate s k = String.sub s 0 (k mod (String.length s + 1)) in
+  let overwrite s i ch = String.mapi (fun j c -> if j = i mod String.length s then ch else c) s in
+  let open QCheck.Gen in
+  let valid =
+    oneof
+      [ map Wire.encode_request gen_request; map Wire.encode_response gen_response;
+        map encode_entry gen_entry ]
+  in
+  QCheck.Test.make ~name:"decoders are total" ~count:1000
+    (QCheck.make ~print:String.escaped
+       (oneof [ string; map2 truncate valid nat; map3 overwrite valid nat char ]))
+    decode_total
+
+(* a 9-byte varint overflowing into the sign bit, as a list count *)
+let hostile_varint = "X" ^ String.make 8 '\xff' ^ "\x7f"
+
+let test_hostile_varint_decodes_corrupt () =
+  Alcotest.(check bool) "overflowing varint count" true (decode_total hostile_varint);
+  (* a max_int length must not overflow the bounds check *)
+  Alcotest.(check bool) "max_int string length" true
+    (decode_total ("B" ^ String.make 8 '\xff' ^ "\x3f"))
 
 (* --- framing hardening --- *)
 
@@ -285,29 +435,36 @@ let test_killed_client_is_isolated () =
   Client.quit_server survivor;
   Client.close survivor
 
-let test_oversized_frame_rejected () =
-  let config = { Server.default_config with Server.max_frame_bytes = 1024 } in
-  with_server ~config @@ fun port ->
+(* A protocol violation on one connection answers [Error "bad request:
+   ..."], closes that connection (counted in [closed_err]), and leaves
+   the server serving everyone else. *)
+let expect_rejected ?config bytes =
+  with_server ?config @@ fun port ->
   let witness = Client.connect ~retries:5 ~port () in
   let fd = raw_connect port in
-  (* announce far more than the limit; send no body at all *)
-  ignore (Unix.write_substring fd (header_of 10_000_000) 0 4);
-  (match Wire.read_frame fd with
-  | Some frame -> (
-      match Wire.decode_response frame with
-      | Wire.Error msg ->
-          Alcotest.(check bool) "error names the limit" true
-            (String.length msg > 0)
-      | _ -> Alcotest.fail "expected an Error response")
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  (match Option.map Wire.decode_response (Wire.read_frame fd) with
+  | Some (Wire.Error msg) ->
+      Alcotest.(check bool) "bad request answered" true
+        (String.starts_with ~prefix:"bad request: " msg)
+  | Some _ -> Alcotest.fail "expected an Error response"
   | None -> Alcotest.fail "expected an error frame before the close");
   Alcotest.(check bool) "connection then closed" true (Wire.read_frame fd = None);
   Unix.close fd;
-  (* the server survives and keeps serving others *)
   let (_ : Cid.t) = Client.put witness ~key:"w" (Wire.Str "alive") in
   let s = Client.stats witness in
-  Alcotest.(check int) "oversized close recorded as error" 1 s.Wire.closed_err;
+  Alcotest.(check int) "close recorded as error" 1 s.Wire.closed_err;
   Client.quit_server witness;
   Client.close witness
+
+(* announce far more than the limit; send no body at all *)
+let test_oversized_frame_rejected () =
+  expect_rejected
+    ~config:{ Server.default_config with Server.max_frame_bytes = 1024 }
+    (header_of 10_000_000)
+
+let test_hostile_varint_frame_rejected () =
+  expect_rejected (Wire.encode_frame hostile_varint)
 
 let test_truncated_frame_close () =
   with_server @@ fun port ->
@@ -494,6 +651,11 @@ let () =
         [
           q prop_request_roundtrip;
           q prop_response_roundtrip;
+          Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
+          q prop_journal_roundtrip;
+          q prop_decoders_total;
+          Alcotest.test_case "hostile varint is Corrupt" `Quick
+            test_hostile_varint_decodes_corrupt;
           Alcotest.test_case "frame size limit" `Quick test_read_frame_limit;
         ] );
       ( "server",
@@ -506,6 +668,8 @@ let () =
             test_killed_client_is_isolated;
           Alcotest.test_case "oversized frame rejected" `Quick
             test_oversized_frame_rejected;
+          Alcotest.test_case "hostile varint frame rejected" `Quick
+            test_hostile_varint_frame_rejected;
           Alcotest.test_case "truncated frame close" `Quick
             test_truncated_frame_close;
           Alcotest.test_case "idle timeout" `Quick test_idle_timeout;

@@ -54,19 +54,11 @@ let check_fsck_clean dir =
 
 let test_map_codec_roundtrip () =
   let map =
-    {
-      Wire.version = 7;
-      shards = [| ("127.0.0.1", 4001); ("10.0.0.2", 4002) |];
-      pending = [ "moving-a"; "moving-b" ];
-    }
+    { Wire.version = 7; shards = [| ("127.0.0.1", 4001); ("10.0.0.2", 4002) |];
+      pending = [ "moving-a"; "moving-b" ] }
   in
-  let decoded = Wire.decode_shard_map (Wire.encode_shard_map map) in
-  Alcotest.(check int) "version" map.Wire.version decoded.Wire.version;
-  Alcotest.(check (list (pair string int)))
-    "shards"
-    (Array.to_list map.Wire.shards)
-    (Array.to_list decoded.Wire.shards);
-  Alcotest.(check (list string)) "pending" map.Wire.pending decoded.Wire.pending
+  Alcotest.(check bool) "map round-trips" true
+    (Wire.decode_shard_map (Wire.encode_shard_map map) = map)
 
 let test_map_file_roundtrip () =
   Testnet.with_temp_dir (fun dir ->

@@ -4,23 +4,18 @@ module Codec = Fbutil.Codec
 module Hex = Fbutil.Hex
 module Splitmix = Fbutil.Splitmix
 
-let roundtrip_varint =
-  QCheck.Test.make ~name:"varint round-trip" ~count:500
-    QCheck.(oneof [ small_nat; int_range 0 max_int ])
-    (fun n ->
-      let buf = Buffer.create 16 in
-      Codec.varint buf n;
-      let r = Codec.reader (Buffer.contents buf) in
-      let n' = Codec.read_varint r in
-      Codec.expect_end r;
-      n = n')
+(* Round-trips through a typed codec also exercise the primitive writer
+   and reader it is built on. *)
+let roundtrip ?(count = 300) name arb c =
+  QCheck.Test.make ~name ~count arb (fun x -> Codec.decode c (Codec.encode c x) = x)
 
-let roundtrip_string =
-  QCheck.Test.make ~name:"string round-trip" ~count:300 QCheck.string (fun s ->
-      let buf = Buffer.create 16 in
-      Codec.string buf s;
-      let r = Codec.reader (Buffer.contents buf) in
-      Codec.read_string r = s)
+let roundtrip_varint =
+  roundtrip ~count:500 "varint round-trip"
+    QCheck.(oneof [ small_nat; int_range 0 max_int; always max_int ])
+    Codec.uint
+
+let roundtrip_string = roundtrip "string round-trip" QCheck.string Codec.str
+let roundtrip_list = roundtrip "list round-trip" QCheck.(list small_string) Codec.(seq str)
 
 let roundtrip_int64 =
   QCheck.Test.make ~name:"int64 round-trip" ~count:300 QCheck.int64 (fun x ->
@@ -28,15 +23,6 @@ let roundtrip_int64 =
       Codec.int64_le buf x;
       let r = Codec.reader (Buffer.contents buf) in
       Codec.read_int64_le r = x)
-
-let roundtrip_list =
-  QCheck.Test.make ~name:"list round-trip" ~count:200
-    QCheck.(list small_string)
-    (fun xs ->
-      let buf = Buffer.create 64 in
-      Codec.list buf Codec.string xs;
-      let r = Codec.reader (Buffer.contents buf) in
-      Codec.read_list r Codec.read_string = xs)
 
 let roundtrip_option =
   QCheck.Test.make ~name:"option round-trip" ~count:200
@@ -50,6 +36,22 @@ let roundtrip_option =
 let test_varint_negative () =
   Alcotest.check_raises "negative rejected" (Invalid_argument "Codec.varint: negative")
     (fun () -> Codec.varint (Buffer.create 4) (-1))
+
+(* The widest varint, max_int, is 8 bytes of 0xff then 0x3f; a ninth
+   byte above 0x3f would overflow into the sign bit, so it is refused. *)
+let test_varint_overflow () =
+  match Codec.read_varint (Codec.reader (String.make 8 '\xff' ^ "\x7f")) with
+  | exception Codec.Corrupt _ -> ()
+  | n -> Alcotest.failf "overflowing varint decoded to %d" n
+
+(* A variant's decoder table is derived from its cases, so a second case
+   claiming a tag is refused when it is declared. *)
+let test_duplicate_tag_refused () =
+  let cases = Codec.cases "test" in
+  let declare codec = ignore (Codec.case cases 'a' codec Fun.id : int -> int Codec.choice) in
+  declare Codec.uint;
+  Alcotest.check_raises "second 'a'" (Invalid_argument "Codec.case: duplicate test tag 'a'")
+    (fun () -> declare Codec.uint)
 
 let test_truncated () =
   let buf = Buffer.create 16 in
@@ -137,6 +139,8 @@ let () =
           q roundtrip_list;
           q roundtrip_option;
           Alcotest.test_case "negative varint" `Quick test_varint_negative;
+          Alcotest.test_case "varint overflow refused" `Quick test_varint_overflow;
+          Alcotest.test_case "duplicate tag refused" `Quick test_duplicate_tag_refused;
           Alcotest.test_case "truncated input" `Quick test_truncated;
           Alcotest.test_case "trailing bytes" `Quick test_trailing;
         ] );
