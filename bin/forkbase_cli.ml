@@ -89,8 +89,10 @@ let key_pos = Arg.(required & pos 0 (some string) None & info [] ~docv:"KEY")
 let put_cmd =
   let run branch key value as_blob context =
     with_db @@ fun db ->
-    let v = if as_blob then Db.blob db value else Db.str value in
-    let uid = Db.put ~branch ~context db ~key v in
+    let uid =
+      if as_blob then Db.put_blob ~branch ~context db ~key value
+      else Db.put ~branch ~context db ~key (Db.str value)
+    in
     Printf.printf "%s\n" (Cid.to_hex uid)
   in
   let value_pos = Arg.(required & pos 1 (some string) None & info [] ~docv:"VALUE") in

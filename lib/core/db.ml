@@ -129,7 +129,9 @@ let load_object t uid =
   | Some o -> Ok o
   | None -> Error (Unknown_version uid)
 
-let put ?(branch = default_branch) ?(context = "") t ~key value =
+(* [value_of] sees the branch head's object, which a put loads anyway as
+   the new version's base. *)
+let put_with ~branch ~context t ~key value_of =
   let tbl = table t key in
   let bases =
     match Branch_table.head tbl branch with
@@ -139,10 +141,25 @@ let put ?(branch = default_branch) ?(context = "") t ~key value =
         | Some o -> [ (head, o) ]
         | None -> [])
   in
-  let uid, recorded = commit_object t ~key ~context ~base_objs:bases value in
+  let uid, recorded =
+    commit_object t ~key ~context ~base_objs:bases (value_of bases)
+  in
   Branch_table.set_head tbl branch uid;
   notify t [ recorded; Set_head { key; branch; uid } ];
   uid
+
+let put ?(branch = default_branch) ?(context = "") t ~key value =
+  put_with ~branch ~context t ~key (fun _ -> value)
+
+let put_blob ?(branch = default_branch) ?(context = "") t ~key s =
+  put_with ~branch ~context t ~key @@ function
+  | [ (_, { Fobject.kind = Value.Kblob; data; _ }) ] -> (
+      (* a head whose tree lives elsewhere (a scattered put) has nothing
+         local to splice *)
+      match Fbtypes.Fblob.(update (of_root t.store t.cfg (Cid.of_raw data)) s) with
+      | b -> Value.Blob b
+      | exception Store.Missing_chunk _ -> blob t s)
+  | _ -> blob t s
 
 let put_guarded ?(branch = default_branch) ?(context = "") t ~key ~guard value =
   check t ~key ~branch:(Some branch) Write @@ fun () ->

@@ -94,6 +94,13 @@ val put :
 (** (M3) Write a new value as the head of a tagged branch (created if
     absent); returns the new version uid. *)
 
+val put_blob :
+  ?branch:string -> ?context:string -> t -> key:string -> string ->
+  Fbchunk.Cid.t
+(** [put] of [blob t s].  When the branch head is a Blob, only the leaves
+    around the bytes that differ from it are re-chunked; the tree, and so
+    the uid, are the same either way. *)
+
 val put_guarded :
   ?branch:string -> ?context:string -> t -> key:string ->
   guard:Fbchunk.Cid.t -> Fbtypes.Value.t -> (Fbchunk.Cid.t, error) result

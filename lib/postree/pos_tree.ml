@@ -148,6 +148,27 @@ module Make (E : ELEM) = struct
     end
     else false
 
+  (* Add [s.[off..]] as single-byte elements (Blob): the cuts [lb_add] would
+     make byte by byte, found with [find_boundary] and copied as substrings.
+     This is the one leaf-cut loop of both the bulk build and the byte
+     splice. *)
+  let lb_add_bytes b s ~off =
+    let cfg = b.lb_cfg in
+    let n = String.length s in
+    let off = ref off in
+    while !off < n do
+      let found =
+        Rolling.any_find_boundary b.lb_roll s ~off:!off ~chunk_size_before:b.lb_count
+          ~min_size:cfg.Tree_config.min_leaf_bytes
+          ~max_size:cfg.Tree_config.max_leaf_bytes ~mask:b.lb_mask
+      in
+      let take = Option.value found ~default:(n - !off) in
+      Buffer.add_substring b.lb_body s !off take;
+      b.lb_count <- b.lb_count + take;
+      off := !off + take;
+      if found <> None then lb_cut b
+    done
+
   type index_builder = {
     ib_store : Store.t;
     ib_mask : int;
@@ -230,60 +251,25 @@ module Make (E : ELEM) = struct
   let of_levels store cfg levels =
     { store; cfg; levels; cum = make_cum levels.(0); leaf_cache = None }
 
-  let of_elements store cfg seq =
+  (* A tree always has a leaf: the empty one when it holds nothing. *)
+  let leaf_level store = function
+    | [||] -> [| empty_leaf_ref store |]
+    | leaves -> leaves
+
+  let build store cfg feed =
     let out = ref [] in
     let lb = leaf_builder store cfg (fun r -> out := r :: !out) in
-    Seq.iter (fun e -> ignore (lb_add lb e)) seq;
+    feed lb;
     lb_cut lb;
-    let leaves =
-      match List.rev !out with
-      | [] -> [| empty_leaf_ref store |]
-      | refs -> Array.of_list refs
-    in
+    let leaves = leaf_level store (Array.of_list (List.rev !out)) in
     of_levels store cfg (levels_of_leaves store cfg leaves)
+
+  let of_elements store cfg seq =
+    build store cfg (fun lb -> Seq.iter (fun e -> ignore (lb_add lb e)) seq)
 
   let of_list store cfg l = of_elements store cfg (List.to_seq l)
   let empty store cfg = of_list store cfg []
-
-  (* Bulk byte-stream build: boundaries found by [find_boundary] are
-     byte-for-byte identical to feeding single-byte elements through
-     [lb_add], but leaves are cut as substrings instead of element by
-     element. *)
-  let of_bytes store cfg s =
-    let n = String.length s in
-    let out = ref [] in
-    let roll = Rolling.any cfg.Tree_config.rolling ~window:cfg.Tree_config.window in
-    let mask = (1 lsl cfg.Tree_config.leaf_bits) - 1 in
-    let emit_leaf start stop =
-      let len = stop - start in
-      let payload = Buffer.create (len + 4) in
-      Codec.varint payload len;
-      Buffer.add_substring payload s start len;
-      let chunk = Chunk.v E.leaf_tag (Buffer.contents payload) in
-      let cid = store.Store.put chunk in
-      out := { cid; count = len; span = len; last_key = "" } :: !out
-    in
-    let off = ref 0 in
-    while !off < n do
-      match
-        Rolling.any_find_boundary roll s ~off:!off ~chunk_size_before:0
-          ~min_size:cfg.Tree_config.min_leaf_bytes
-          ~max_size:cfg.Tree_config.max_leaf_bytes ~mask
-      with
-      | Some consumed ->
-          emit_leaf !off (!off + consumed);
-          off := !off + consumed;
-          Rolling.any_reset roll
-      | None ->
-          emit_leaf !off n;
-          off := n
-    done;
-    let leaves =
-      match List.rev !out with
-      | [] -> [| empty_leaf_ref store |]
-      | refs -> Array.of_list refs
-    in
-    of_levels store cfg (levels_of_leaves store cfg leaves)
+  let of_bytes store cfg s = build store cfg (fun lb -> lb_add_bytes lb s ~off:0)
 
   let ref_of_chunk cid chunk =
     if chunk.Chunk.tag = E.leaf_tag then begin
@@ -428,6 +414,14 @@ module Make (E : ELEM) = struct
     iter_slice t ~pos ~len (fun e -> out := e :: !out);
     List.rev !out
 
+  let leaf_count t = Array.length t.levels.(0)
+
+  let leaf_bytes t i =
+    let payload = (Store.get_exn t.store t.levels.(0).(i).cid).Chunk.payload in
+    let r = Codec.reader payload in
+    let count = Codec.read_varint r in
+    (payload, Codec.pos r, count)
+
   let iter_leaf_payloads t ~pos ~len f =
     if pos < 0 || len < 0 || pos + len > length t then
       invalid_arg "Pos_tree.iter_leaf_payloads: out of bounds";
@@ -436,11 +430,7 @@ module Make (E : ELEM) = struct
       let first = leaf_of_pos t pos in
       let remaining = ref len and p = ref pos and i = ref first in
       while !remaining > 0 do
-        let chunk = Store.get_exn t.store t.levels.(0).(!i).cid in
-        let payload = chunk.Chunk.payload in
-        let r = Codec.reader payload in
-        let count = Codec.read_varint r in
-        let header = Codec.pos r in
+        let payload, header, count = leaf_bytes t !i in
         let off = !p - cum.(!i) in
         let take = min !remaining (count - off) in
         f payload ~off:(header + off) ~take;
@@ -548,12 +538,7 @@ module Make (E : ELEM) = struct
       edits;
     feed_old_until ~allow_last:true total;
     lb_cut lb;
-    let leaves =
-      match List.rev !out with
-      | [] -> [| empty_leaf_ref t.store |]
-      | refs -> Array.of_list refs
-    in
-    (leaves, List.rev !anchors)
+    (leaf_level t.store (Array.of_list (List.rev !out)), List.rev !anchors)
 
   (* Rebuild one index level given the edits on the level below (entry
      coordinates).  Entries are in-memory chunk_refs and the split test is
@@ -671,6 +656,43 @@ module Make (E : ELEM) = struct
 
   let splice t ~pos ~del ~ins = splice_many t [ (pos, del, ins) ]
   let append t elems = splice t ~pos:(length t) ~del:0 ~ins:elems
+
+  (* Byte-native splice (Blob).  The chunker resets at every cut, so the
+     cut before the leaf holding [pos] depends only on bytes before it:
+     re-rolling starts at that leaf's first byte, or at the last leaf's for
+     an edit at the end, since that residual cut holds only while it stays
+     final.  Old bytes are then fed straight from the base's leaf payloads
+     until a new cut lands on an old leaf start past the edit; the leaves
+     from there on are reused, and [rebuild_levels] re-splits only the
+     index path above the edit. *)
+  let splice_bytes t ~pos ~del ~ins =
+    validate_edits t [ (pos, del, ins) ];
+    if del = 0 && ins = "" then t
+    else begin
+      let old = t.levels.(0) and cum = Lazy.force t.cum and total = length t in
+      let n = Array.length old in
+      let first = if pos < total then leaf_of_pos t pos else n - 1 in
+      let fresh = ref [] in
+      let lb = leaf_builder t.store t.cfg (fun r -> fresh := r :: !fresh) in
+      let payload, off, _ = leaf_bytes t first in
+      lb_add_bytes lb (String.sub payload off (pos - cum.(first)) ^ ins) ~off:0;
+      let p = ref (pos + del) in
+      let j = ref (if !p < total then leaf_of_pos t !p else n) in
+      while !j < n && not (lb.lb_count = 0 && !p = cum.(!j)) do
+        let payload, off, _ = leaf_bytes t !j in
+        lb_add_bytes lb payload ~off:(off + !p - cum.(!j));
+        p := cum.(!j + 1);
+        incr j
+      done;
+      lb_cut lb;
+      let fresh = Array.of_list (List.rev !fresh) in
+      let kept = n - !j and shift = first + Array.length fresh - !j in
+      let leaves = Array.concat [ Array.sub old 0 first; fresh; Array.sub old !j kept ] in
+      let anchors =
+        List.init first (fun k -> (k, k)) @ List.init kept (fun k -> (!j + k, !j + k + shift))
+      in
+      rebuild_levels t (leaf_level t.store leaves, anchors)
+    end
 
   (* ------------------------------------------------------------------ *)
   (* Sorted access                                                       *)

@@ -87,6 +87,13 @@ module Make (E : ELEM) : sig
       exactly one payload byte (the Blob element); Fblob uses this to read
       at memcpy speed. *)
 
+  val leaf_count : t -> int
+
+  val leaf_bytes : t -> int -> string * int * int
+  (** [leaf_bytes t i] is leaf [i]'s raw payload with the offset and
+      length of its element bytes in it.  Same single-byte caveat as
+      {!iter_leaf_payloads}. *)
+
   val to_seq : t -> elem Seq.t
 
   val seq_from : t -> pos:int -> elem Seq.t
@@ -113,6 +120,14 @@ module Make (E : ELEM) : sig
       batch e.g. all writes of a blockchain commit. *)
 
   val append : t -> elem list -> t
+
+  val splice_bytes : t -> pos:int -> del:int -> ins:string -> t
+  (** {!splice} for single-byte elements (Blob), fed as substrings through
+      the {!of_bytes} cut loop: it re-chunks from the start of the leaf
+      holding [pos] until a cut lands on an old leaf start past the edit,
+      reading old bytes from the base's leaf payloads.  Gives the tree
+      {!of_bytes} builds for the edited bytes.
+      @raise Invalid_argument when the range is out of bounds. *)
 
   (** {1 Sorted access (Map / Set containers)} *)
 

@@ -142,7 +142,10 @@ let handle ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
   | Wire.Put { key; branch; context; value } ->
       owned key @@ fun () ->
       write @@ fun () ->
-      Wire.Uid (Db.put ~branch ~context db ~key (of_wire_value db value))
+      Wire.Uid
+        (match value with
+        | Wire.Blob s -> Db.put_blob ~branch ~context db ~key s
+        | value -> Db.put ~branch ~context db ~key (of_wire_value db value))
   | Wire.Get { key; branch } ->
       owned key @@ fun () ->
       of_db_result (fun v -> Wire.Value (to_wire_value v)) (Db.get ~branch db ~key)

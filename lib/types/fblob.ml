@@ -30,14 +30,85 @@ let read t ~pos ~len =
 
 let to_string t = read t ~pos:0 ~len:(length t)
 
-let splice t ~pos ~del ~ins =
-  T.splice t ~pos ~del ~ins:(List.of_seq (String.to_seq ins))
+let splice t ~pos ~del ~ins = T.splice_bytes t ~pos ~del ~ins
 
 let append t s = splice t ~pos:(length t) ~del:0 ~ins:s
 let insert t ~pos s = splice t ~pos ~del:0 ~ins:s
 let remove t ~pos ~len = splice t ~pos ~del:len ~ins:""
 let overwrite t ~pos s = splice t ~pos ~del:(String.length s) ~ins:s
-let diff_region = T.diff_region
+
+(* A byte sequence as slices [(src, off, len)] fetched on demand: a blob's
+   leaf payloads (read-cache hits on a served store), or one flat string.
+   [update] and [diff_region] find common prefixes and suffixes over these
+   without copying or decoding a blob. *)
+type view = { parts : int; part : int -> string * int * int }
+
+let view t = { parts = T.leaf_count t; part = T.leaf_bytes t }
+let flat s = { parts = 1; part = (fun _ -> (s, 0, String.length s)) }
+
+(* An 8-byte load without a bounds check: [run_equal] checks its ranges
+   once up front, which makes the compare ~2x faster than
+   [String.get_int64_ne]. *)
+external word : string -> int -> int64 = "%caml_string_get64u"
+
+(* Equal bytes of [a] and [b] running forward from [ai] and [bi], or
+   backward from just before them when [back]; at most [len]. *)
+let run_equal ~back a ai b bi len =
+  let a0, b0 = if back then (ai - len, bi - len) else (ai, bi) in
+  if a0 < 0 || b0 < 0 || a0 + len > String.length a || b0 + len > String.length b
+  then invalid_arg "Fblob.run_equal: out of bounds";
+  (* where the [k]th byte (or word) from [i] starts, going [back] or not *)
+  let at i k width = if back then i - k - width else i + k in
+  let k = ref 0 in
+  while !k + 8 <= len && word a (at ai !k 8) = word b (at bi !k 8) do
+    k := !k + 8
+  done;
+  while !k < len && a.[at ai !k 1] = b.[at bi !k 1] do
+    incr k
+  done;
+  !k
+
+(* Length of the common prefix of two views, or of the common suffix when
+   [back]; at most [limit], which neither view may be shorter than. *)
+let common ~back a b ~limit =
+  let part v i = v.part (if back then v.parts - 1 - i else i) in
+  (* [(s, o, n)] is the unconsumed slice; compares start at [o], or end
+     at [o + n] going back. *)
+  let rec go ia (sa, oa, na) ib (sb, ob, nb) acc =
+    if acc = limit then acc
+    else if na = 0 then go (ia + 1) (part a (ia + 1)) ib (sb, ob, nb) acc
+    else if nb = 0 then go ia (sa, oa, na) (ib + 1) (part b (ib + 1)) acc
+    else
+      let len = min (limit - acc) (min na nb) in
+      let k =
+        if back then run_equal ~back sa (oa + na) sb (ob + nb) len
+        else run_equal ~back sa oa sb ob len
+      in
+      let skip o = if back then o else o + k in
+      if k < len then acc + k
+      else go ia (sa, skip oa, na - k) ib (sb, skip ob, nb - k) (acc + k)
+  in
+  if limit = 0 then 0 else go 0 (part a 0) 0 (part b 0) 0
+
+(* Common prefix, then common suffix of what is left: the string model's
+   tightest differing middle. *)
+let affixes a ~alen b ~blen =
+  let limit = min alen blen in
+  let p = common ~back:false a b ~limit in
+  (p, common ~back:true a b ~limit:(limit - p))
+
+let update t s =
+  let len = length t and n = String.length s in
+  let p, q = affixes (view t) ~alen:len (flat s) ~blen:n in
+  splice t ~pos:p ~del:(len - p - q) ~ins:(String.sub s p (n - p - q))
+
+let diff_region a b =
+  if equal a b then None
+  else
+    let la = length a and lb = length b in
+    let p, q = affixes (view a) ~alen:la (view b) ~blen:lb in
+    Some ((p, la - p - q), (p, lb - p - q))
+
 let chunk_count = T.chunk_count
 let height = T.height
 let iter_chunks = T.iter_cids

@@ -26,9 +26,18 @@ val overwrite : t -> pos:int -> string -> t
 (** In-place update of [String.length] bytes at [pos]. *)
 
 val splice : t -> pos:int -> del:int -> ins:string -> t
+(** Re-chunks only the leaves around the edit (copy-on-write, §4.3); the
+    result is the tree {!create} builds for the edited bytes. *)
+
+val update : t -> string -> t
+(** [update base s] is [create] of [s] — the same root and chunk set —
+    built as one {!splice} of the middle that differs from [base], found
+    by comparing [s] with [base]'s leaf payloads. *)
 
 val diff_region : t -> t -> ((int * int) * (int * int)) option
-(** Coarse structural diff via shared chunks; [None] when equal. *)
+(** [None] when equal, otherwise [Some ((p, len1), (p, len2))]: after the
+    longest common prefix [p], the middles left once the longest common
+    suffix of the rest is trimmed. *)
 
 val chunk_count : t -> int
 val height : t -> int

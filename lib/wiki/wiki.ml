@@ -36,7 +36,7 @@ let forkbase_client ?(client_cache = 4096) server =
     else counted
   in
   let save ~page ~content =
-    let (_ : Fbchunk.Cid.t) = Db.put db ~key:page (Db.blob db content) in
+    let (_ : Fbchunk.Cid.t) = Db.put_blob db ~key:page content in
     ()
   in
   (* Fetch a version's Blob through the client-side store so transferred

@@ -28,6 +28,22 @@ let get_str db ~key ?branch () =
 
 (* --- basic put/get --- *)
 
+(* A Blob put splices against a Blob head whose tree is local; a head
+   whose tree chunks live elsewhere (as after a scattered put) falls back
+   to a fresh build, with the same uid either way. *)
+let test_put_blob_head_elsewhere () =
+  let page = String.init 20_000 (fun i -> Char.chr (97 + (i * 7 mod 26))) in
+  let edited = String.sub page 0 5000 ^ "EDIT" ^ String.sub page 5004 14_996 in
+  let full = fresh () in
+  let head = Db.put_blob full ~key:"p" page in
+  let spliced = Db.put_blob full ~key:"p" edited in
+  let meta_only = Store.mem_store () in
+  let (_ : Cid.t) = meta_only.Store.put (Store.get_exn (Db.store full) head) in
+  let db = Db.create meta_only in
+  ok (Db.restore_branch db ~key:"p" ~branch:Db.default_branch head);
+  Alcotest.(check string) "same uid" (Cid.to_hex spliced)
+    (Cid.to_hex (Db.put_blob db ~key:"p" edited))
+
 let test_put_get () =
   let db = fresh () in
   let (_ : Cid.t) = Db.put db ~key:"k" (Db.str "v1") in
@@ -417,6 +433,8 @@ let () =
           Alcotest.test_case "uid content-addressed" `Quick test_uid_content_addressed;
           Alcotest.test_case "fobject roundtrip" `Quick test_fobject_roundtrip;
           Alcotest.test_case "context field" `Quick test_context_field;
+          Alcotest.test_case "blob put, head tree elsewhere" `Quick
+            test_put_blob_head_elsewhere;
         ] );
       ( "fork-on-demand",
         [

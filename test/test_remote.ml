@@ -643,6 +643,50 @@ let test_group_commit () =
   done;
   Persist.close p
 
+(* A Blob put onto a Blob head re-chunks only around what changed: one
+   64-byte overwrite of a 64 KiB page stores a handful of chunks (a full
+   rebuild puts ~18), and the tree is still the one a fresh build of the
+   page gives.  A Blob onto a [Str] head, or onto a fresh branch, has no
+   Blob to splice and builds from scratch. *)
+let test_blob_put_splices_head () =
+  Testnet.with_temp_dir @@ fun dir ->
+  let port, server_pid = spawn_group_commit_server ~dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] server_pid))
+  @@ fun () ->
+  let c = Client.connect ~retries:20 ~port () in
+  let module Fblob = Fbtypes.Fblob in
+  let module Text_edit = Workload.Text_edit in
+  let page = Text_edit.initial_page ~seed:3L ~size:65536 in
+  let edited = Text_edit.apply page (Text_edit.Overwrite (30_000, String.make 64 'x')) in
+  let check_put ?branch ~key s =
+    let uid = Client.put ?branch c ~key (Wire.Blob s) in
+    (match Client.get ?branch c ~key with
+    | Wire.Blob got -> Alcotest.(check bool) (key ^ ": get returns the put bytes") true (got = s)
+    | _ -> Alcotest.fail "not a blob");
+    let meta =
+      match Client.fetch_chunks c [ uid ] with
+      | [ raw ] -> Forkbase.Fobject.of_chunk (Fbchunk.Chunk.decode raw)
+      | _ -> Alcotest.fail "meta chunk missing"
+    in
+    let fresh = Fblob.create (Fbchunk.Chunk_store.mem_store ()) Fbtree.Tree_config.default s in
+    Alcotest.(check string) (key ^ ": root = fresh build's") (Cid.to_hex (Fblob.root fresh))
+      (Cid.to_hex (Cid.of_raw meta.Forkbase.Fobject.data))
+  in
+  check_put ~key:"page" page;
+  let puts () = (Client.stats c).Wire.puts in
+  let before = puts () in
+  check_put ~key:"page" edited;
+  let added = puts () - before in
+  Alcotest.(check bool) (Printf.sprintf "edit put %d chunks (<= 6)" added) true (added <= 6);
+  let (_ : Cid.t) = Client.put c ~key:"note" (Wire.Str "short") in
+  check_put ~key:"note" edited;
+  check_put ~branch:"draft" ~key:"page" (String.sub edited 100 20_000);
+  Client.quit_server c;
+  Client.close c
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "remote"
@@ -678,5 +722,7 @@ let () =
           Alcotest.test_case "stepping clock reaps" `Quick
             test_stepping_clock_reaps;
           Alcotest.test_case "group commit" `Quick test_group_commit;
+          Alcotest.test_case "blob put splices the head" `Quick
+            test_blob_put_splices_head;
         ] );
     ]

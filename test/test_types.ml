@@ -72,15 +72,23 @@ let test_blob_paper_example () =
   Alcotest.(check string) "edited" "my valuesome more" (Fblob.to_string b)
 
 let qcheck_blob_bulk_build =
-  QCheck.Test.make ~name:"blob bulk build = per-byte build (same root)" ~count:60
-    QCheck.(string_of_size (QCheck.Gen.int_range 0 20_000))
-    (fun s ->
+  QCheck.Test.make ~name:"blob bulk build = append chain (same root)" ~count:60
+    QCheck.(pair (string_of_size (QCheck.Gen.int_range 0 20_000)) (small_list small_nat))
+    (fun (s, steps) ->
       let store = fresh () in
       let bulk = Fblob.create store cfg s in
-      (* splicing the full content into an empty blob feeds elements one at
-         a time through the generic chunker *)
-      let elementwise = Fblob.splice (Fblob.empty store cfg) ~pos:0 ~del:0 ~ins:s in
-      Fblob.equal bulk elementwise)
+      (* appending piece by piece re-rolls the residual last leaf each time
+         through the byte splice; the generic element chunker stays covered
+         by test_postree and test_hash's feed_detect/find_boundary check *)
+      let steps = Array.of_list (List.map (fun k -> 1 + (k * 37)) steps) in
+      let rec go b off i =
+        if off >= String.length s then b
+        else
+          let take = if steps = [||] then 1000 else steps.(i mod Array.length steps) in
+          let take = min take (String.length s - off) in
+          go (Fblob.append b (String.sub s off take)) (off + take) (i + 1)
+      in
+      Fblob.equal bulk (go (Fblob.empty store cfg) 0 0))
 
 let qcheck_blob_splice =
   QCheck.Test.make ~name:"blob splice matches string model" ~count:100
@@ -96,6 +104,158 @@ let qcheck_blob_splice =
       let b' = Fblob.splice b ~pos ~del ~ins in
       let expected = String.sub s 0 pos ^ ins ^ String.sub s (pos + del) (n - pos - del) in
       Fblob.to_string b' = expected)
+
+(* The string model of [Fblob.diff_region]: the longest common prefix,
+   then the longest common suffix of what is left. *)
+let model_region a b =
+  let la = String.length a and lb = String.length b in
+  let p = ref 0 in
+  while !p < min la lb && a.[!p] = b.[!p] do incr p done;
+  let q = ref 0 in
+  while !q < min la lb - !p && a.[la - 1 - !q] = b.[lb - 1 - !q] do incr q done;
+  if a = b then None else Some ((!p, la - !p - !q), (!p, lb - !p - !q))
+
+let qcheck_blob_diff_region =
+  (* a two-letter alphabet makes shifted repeats, where a prefix and a
+     suffix could overlap, common *)
+  let ab = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_range 0 6000)) in
+  QCheck.Test.make ~name:"blob diff_region = string prefix/suffix model" ~count:100
+    QCheck.(make ~print:Print.(quad string int int string) Gen.(quad ab nat nat ab))
+    (fun (a, pos, del, ins) ->
+      let n = String.length a in
+      let pos = pos mod (n + 1) in
+      let del = del mod (n - pos + 1) in
+      let b = String.sub a 0 pos ^ String.sub ins 0 (min 200 (String.length ins))
+              ^ String.sub a (pos + del) (n - pos - del) in
+      let store = fresh () in
+      Fblob.diff_region (Fblob.create store cfg a) (Fblob.create store cfg b)
+      = model_region a b)
+
+(* Differential check of the copy-on-write paths: after every edit of a
+   script, [Fblob.splice] of the previous version and [Fblob.update] of it
+   with the new bytes give [Fblob.create]'s tree — root, chunk set and the
+   bytes each store holds. *)
+
+(* Leaf starts of the tree [create] builds: the leaf cut rule restated over
+   [Rolling], to aim edits at boundaries and at the residual last leaf. *)
+let leaf_starts (cfg : Fbtree.Tree_config.t) s =
+  let module R = Fbhash.Rolling in
+  let roll = R.any cfg.rolling ~window:cfg.window in
+  let rec go off acc =
+    if off >= String.length s then List.rev acc
+    else
+      match
+        R.any_find_boundary roll s ~off ~chunk_size_before:0 ~min_size:cfg.min_leaf_bytes
+          ~max_size:cfg.max_leaf_bytes ~mask:((1 lsl cfg.leaf_bits) - 1)
+      with
+      | Some k ->
+          R.any_reset roll;
+          go (off + k) (off :: acc)
+      | None -> List.rev (off :: acc)
+  in
+  go 0 []
+
+type at = Zero | End | In_last | On_boundary | Anywhere
+type edit = Splice of at * int * int * string | Delete_all | Replace_all of string
+
+let differential_case =
+  let open QCheck.Gen in
+  let random n = string_size ~gen:char (return n) in
+  let page =
+    int_range 0 70_000 >>= fun n ->
+    oneof
+      [
+        random n;
+        map (fun c -> String.make n c) char;
+        return (String.init n (fun i -> "xyz".[i mod 3]));
+        (* constant runs around random bytes *)
+        map (fun r -> String.make (n / 3) 'c' ^ r ^ String.make (n / 3) 'c') (random (n / 3));
+      ]
+  in
+  let edit =
+    frequency
+      [
+        ( 8,
+          map4
+            (fun at pick del ins -> Splice (at, pick, del, ins))
+            (oneofl [ Zero; End; In_last; On_boundary; Anywhere ])
+            nat
+            (oneof [ return 0; int_range 1 300; return max_int ])
+            (oneof [ return ""; string_size ~gen:char (int_range 1 300) ]) );
+        (1, return Delete_all);
+        (1, map (fun s -> Replace_all s) (int_range 0 20_000 >>= random));
+      ]
+  in
+  let cfg =
+    map2
+      (fun rolling q -> { (Fbtree.Tree_config.with_leaf_bits q) with rolling })
+      (oneofl Fbhash.Rolling.[ Cyclic_poly; Rabin_karp; Moving_sum ])
+      (oneofl [ 8; 10; 12 ])
+  in
+  triple cfg page (list_size (int_range 1 4) edit)
+
+(* Concrete [(pos, del, ins)] of an edit on [s]. *)
+let resolve cfg s = function
+  | Delete_all -> (0, String.length s, "")
+  | Replace_all r -> (0, String.length s, r)
+  | Splice (at, pick, del, ins) ->
+      let n = String.length s in
+      let starts = leaf_starts cfg s in
+      let last = List.fold_left (fun _ x -> x) 0 starts in
+      let pos =
+        match at with
+        | Zero -> 0
+        | End -> n
+        | In_last -> last + (pick mod (n - last + 1))
+        | On_boundary -> if starts = [] then 0 else List.nth starts (pick mod List.length starts)
+        | Anywhere -> pick mod (n + 1)
+      in
+      (pos, min del (n - pos), ins)
+
+let prop_differential ((cfg : Fbtree.Tree_config.t), page, script) =
+  let s_splice = fresh () and s_update = fresh () and s_create = fresh () in
+  let chunks b =
+    let set = ref Fbchunk.Cid.Set.empty in
+    Fblob.iter_chunks b (fun c -> set := Fbchunk.Cid.Set.add c !set);
+    !set
+  in
+  let bytes st = (st.Store.stats ()).Store.bytes in
+  let spliced = ref (Fblob.create s_splice cfg page)
+  and updated = ref (Fblob.create s_update cfg page)
+  and current = ref page in
+  ignore (Fblob.create s_create cfg page);
+  List.for_all
+    (fun e ->
+      let pos, del, ins = resolve cfg !current e in
+      let n = String.length !current in
+      current := String.sub !current 0 pos ^ ins ^ String.sub !current (pos + del) (n - pos - del);
+      spliced := Fblob.splice !spliced ~pos ~del ~ins;
+      updated := Fblob.update !updated !current;
+      let created = Fblob.create s_create cfg !current in
+      Fblob.equal !spliced created && Fblob.equal !updated created
+      && Fbchunk.Cid.Set.equal (chunks !spliced) (chunks created)
+      && Fbchunk.Cid.Set.equal (chunks !updated) (chunks created)
+      && bytes s_splice = bytes s_create && bytes s_update = bytes s_create
+      && Fblob.to_string !spliced = !current)
+    script
+
+let qcheck_blob_differential =
+  let print ((cfg : Fbtree.Tree_config.t), page, script) =
+    Printf.sprintf "leaf_bits=%d rolling=%s page=%d bytes, edits=[%s]" cfg.leaf_bits
+      (match cfg.rolling with Cyclic_poly -> "cyclic" | Rabin_karp -> "rabin" | Moving_sum -> "sum")
+      (String.length page)
+      (String.concat "; "
+         (List.map
+            (function
+              | Delete_all -> "delete-all"
+              | Replace_all r -> Printf.sprintf "replace-all %d" (String.length r)
+              | Splice (_, pick, del, ins) ->
+                  Printf.sprintf "splice pick=%d del=%d ins=%d" pick del (String.length ins))
+            script))
+  in
+  QCheck.Test.make ~name:"blob splice and update = create (root, chunks, bytes)" ~count:120
+    (QCheck.make ~print differential_case)
+    prop_differential
 
 let test_blob_dedup_versions () =
   let store = fresh () in
@@ -328,6 +488,8 @@ let () =
           Alcotest.test_case "paper example (fig 4)" `Quick test_blob_paper_example;
           q qcheck_blob_bulk_build;
           q qcheck_blob_splice;
+          q qcheck_blob_diff_region;
+          q qcheck_blob_differential;
           Alcotest.test_case "version dedup" `Quick test_blob_dedup_versions;
         ] );
       ( "list",
