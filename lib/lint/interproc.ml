@@ -39,7 +39,8 @@ let in_lib_or_bin scope =
 let blocking_heads =
   [
     ("Unix", "read"); ("Unix", "write"); ("Unix", "single_write");
-    ("Unix", "write_substring"); ("Unix", "select"); ("Unix", "accept");
+    ("Unix", "write_substring"); ("Unix", "single_write_substring");
+    ("Unix", "select"); ("Unix", "accept");
     ("Unix", "connect"); ("Unix", "sleep"); ("Unix", "sleepf");
     ("Unix", "system"); ("Unix", "fsync"); ("Unix", "wait");
     ("Unix", "waitpid");

@@ -79,8 +79,9 @@ let head_of_parts = function
   | [ "List"; (("hd" | "nth") as fn) ] -> Some (Partial ("List." ^ fn))
   | [ "Option"; "get" ] -> Some (Partial "Option.get")
   | [ ("failwith" | "failwithf") ] | [ "Stdlib"; "failwith" ] -> Some Failwith
-  | [ "Unix"; (("read" | "write" | "single_write" | "select" | "accept") as fn)
-    ] ->
+  | [ "Unix";
+      (( "read" | "write" | "single_write" | "write_substring"
+       | "single_write_substring" | "select" | "accept" ) as fn) ] ->
       Some (Syscall ("Unix." ^ fn))
   | _ -> None
 

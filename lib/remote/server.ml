@@ -312,7 +312,7 @@ type conn = {
   fd : Unix.file_descr;
   rbuf : Buffer.t;
   wqueue : string Queue.t;
-  mutable wcur : Bytes.t;
+  mutable wcur : string;
   mutable wpos : int;
   mutable last_active : float;
   mutable draining : bool;
@@ -323,7 +323,7 @@ type conn = {
          per-connection request/response order *)
 }
 
-let has_output c = c.wpos < Bytes.length c.wcur || not (Queue.is_empty c.wqueue)
+let has_output c = c.wpos < String.length c.wcur || not (Queue.is_empty c.wqueue)
 let mid_frame c = Buffer.length c.rbuf > 0
 
 let drain c reason =
@@ -337,6 +337,12 @@ let durable_write = function
   | Wire.Push_chunks _ | Wire.Restore_branch _ ->
       true
   | _ -> false
+
+(* Per-round I/O bounds: bytes read from one connection per round (no
+   client starves the rest), and the largest write small response
+   frames are joined into. *)
+let read_budget = 1 lsl 20
+let join_cap = 65536
 
 let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     ?(tick_every = 0.05) ?(now = Clock.monotonic) ?(config = default_config)
@@ -485,41 +491,79 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     end
   in
   let scratch = Bytes.create 65536 in
+  (* Drain the socket, then parse every complete frame at once, so the
+     round's one group commit covers all of them.  The budget bounds
+     bytes read, not bytes buffered: a frame of exactly [max_frame_bytes]
+     still completes over several rounds. *)
   let handle_readable c =
-    match Wire.read_nb c.fd scratch with
-    | Wire.Nb_nothing -> None
-    | Wire.Nb_read_error -> Some Err_close
-    | Wire.Nb_eof ->
+    let rec fill got =
+      if got >= read_budget then `Open
+      else
+        match Wire.read_nb c.fd scratch with
+        | Wire.Nb_nothing -> `Open
+        | Wire.Nb_read_error -> `Error
+        | Wire.Nb_eof -> `Eof
+        | Wire.Nb_read n ->
+            c.last_active <- now ();
+            Buffer.add_subbytes c.rbuf scratch 0 n;
+            fill (got + n)
+    in
+    let ended = fill 0 in
+    process_frames c;
+    match ended with
+    | `Open -> None
+    | `Error -> Some Err_close
+    | `Eof when c.draining ->
+        (* the burst ended in a Quit or a protocol violation: close as
+           that decided, once its answer is flushed *)
+        None
+    | `Eof ->
         (* Peer closed.  A half-received frame means it vanished
-           mid-request; pending output still gets a flush attempt. *)
+           mid-request; answers queued or parked for group commit still
+           get a flush attempt. *)
         if mid_frame c then Some Err_close
-        else if has_output c then begin
+        else if has_output c || c.holding then begin
           drain c Ok_close;
           None
         end
         else Some Ok_close
-    | Wire.Nb_read n ->
-        c.last_active <- now ();
-        Buffer.add_subbytes c.rbuf scratch 0 n;
-        process_frames c;
-        None
+  in
+  (* The next string to put on the socket: a run of small frames joined
+     into one write of at most [join_cap] bytes, or a frame too large to
+     join as it stands, uncopied. *)
+  let join = Buffer.create join_cap in
+  let next_output c =
+    let joins size =
+      match Queue.peek_opt c.wqueue with
+      | Some f -> size + String.length f <= join_cap
+      | None -> false
+    in
+    match Queue.take_opt c.wqueue with
+    | Some frame when joins (String.length frame) ->
+        Buffer.clear join;
+        Buffer.add_string join frame;
+        while joins (Buffer.length join) do
+          Buffer.add_string join (Queue.take c.wqueue)
+        done;
+        Some (Buffer.contents join)
+    | next -> next
   in
   let handle_writable c =
     let result = ref None in
     let continue = ref true in
     while !continue do
-      if c.wpos >= Bytes.length c.wcur then
-        match Queue.take_opt c.wqueue with
+      if c.wpos >= String.length c.wcur then
+        match next_output c with
         | None ->
             continue := false;
             if c.draining then result := Some c.drain_reason
-        | Some frame ->
-            c.wcur <- Bytes.of_string frame;
+        | Some out ->
+            c.wcur <- out;
             c.wpos <- 0
       else
         match
           Wire.write_nb c.fd c.wcur ~pos:c.wpos
-            ~len:(Bytes.length c.wcur - c.wpos)
+            ~len:(String.length c.wcur - c.wpos)
         with
         | Wire.Nb_wrote n ->
             c.wpos <- c.wpos + n;
@@ -545,7 +589,7 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
               fd;
               rbuf = Buffer.create 256;
               wqueue = Queue.create ();
-              wcur = Bytes.create 0;
+              wcur = "";
               wpos = 0;
               last_active = now ();
               draining = false;
@@ -604,6 +648,26 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     | readable, writable ->
         (* Each connection's events are fault-isolated: any error closes
            that connection only and lands in the counters. *)
+        let write_out fds =
+          List.iter
+            (fun fd ->
+              match Hashtbl.find_opt conns fd with
+              | None -> ()
+              | Some c -> (
+                  match handle_writable c with
+                  | Some reason -> close_conn c reason
+                  | None -> ()))
+            fds
+        in
+        (* A connection with answers queued and no new input has a client
+           waiting on them: flush it before this round's reads drain and
+           run page puts from other connections.  One that is still
+           sending keeps its answers until after the round's commit, so
+           they leave together. *)
+        let sending, waiting =
+          List.partition (fun fd -> List.exists (fun r -> r = fd) readable) writable
+        in
+        write_out waiting;
         List.iter
           (fun fd ->
             if fd = listen_fd then accept_new ()
@@ -617,18 +681,10 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
           readable;
         (* All of this round's requests are handled: one fsync commits the
            round's durable writes and releases every parked ack, before
-           the write pass so freshly released responses can go out with
-           anything already queued. *)
+           the still-sending connections' write pass so their freshly
+           released answers go out with anything already queued. *)
         release_pending ();
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt conns fd with
-            | None -> ()
-            | Some c -> (
-                match handle_writable c with
-                | Some reason -> close_conn c reason
-                | None -> ()))
-          writable;
+        write_out sending;
         if config.idle_timeout > 0. then begin
           let t_now = now () in
           let stale =

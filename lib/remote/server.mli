@@ -1,10 +1,12 @@
 (** A fault-isolated, multiplexed ForkBase network server.
 
     Listens on a TCP socket and serves many concurrent connections from a
-    single process with a [select]-based event loop: per-connection
-    incremental read buffers reassemble frames across partial reads on
-    non-blocking sockets, per-connection write queues resume partial
-    writes, idle connections are reaped, and the connection count is
+    single process with a [select]-based event loop: each round drains a
+    readable socket (up to 1 MiB) into its connection's read buffer,
+    which reassembles frames across partial reads, so one group commit
+    covers every pipelined write that arrived; per-connection write
+    queues join runs of small replies into one write and resume partial
+    writes; idle connections are reaped, and the connection count is
     capped.  Every connection is fault-isolated — a peer that disconnects
     mid-request, sends garbage, or announces an oversized frame loses
     {e its} connection (recorded in the {!counters}) while every other

@@ -322,10 +322,10 @@ let read_nb fd buf =
 
 type nb_write = Nb_wrote of int | Nb_blocked | Nb_write_error
 
-let rec write_nb fd buf ~pos ~len =
-  match Unix.write fd buf pos len with
+let rec write_nb fd s ~pos ~len =
+  match Unix.write_substring fd s pos len with
   | n -> Nb_wrote n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_nb fd buf ~pos ~len
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_nb fd s ~pos ~len
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       Nb_blocked
   | exception Unix.Unix_error _ -> Nb_write_error

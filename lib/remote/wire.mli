@@ -222,8 +222,9 @@ type nb_write =
   | Nb_blocked  (** [EAGAIN]/[EWOULDBLOCK]: wait for writability *)
   | Nb_write_error  (** the connection is unusable; close it *)
 
-val write_nb : Unix.file_descr -> Bytes.t -> pos:int -> len:int -> nb_write
-(** Write once from [buf.[pos..pos+len)]; retries [EINTR] internally. *)
+val write_nb : Unix.file_descr -> string -> pos:int -> len:int -> nb_write
+(** Write once from [s.[pos..pos+len)]; retries [EINTR] internally.  The
+    source is a string, so an encoded frame goes out without a copy. *)
 
 val accept_nb :
   Unix.file_descr -> (Unix.file_descr * Unix.sockaddr) option

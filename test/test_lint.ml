@@ -204,6 +204,37 @@ let test_no_block_in_loop () =
            "let relay fd buf = Wire.write_nb fd buf\n\
             let handle fd buf = relay fd buf" );
        ]);
+  (* the string-source wrapper the write loop drains its queue through:
+     a loop calling it is clean, the raw string write it wraps is not *)
+  let string_wire =
+    ( "lib/remote/wire.ml",
+      "let write_nb fd s ~pos ~len =\n\
+       \  match Unix.write_substring fd s pos len with\n\
+       \  | n -> Some n\n\
+       \  | exception Unix.Unix_error (_, _, _) -> None" )
+  in
+  check_ids "a write loop over Wire.write_nb is clean" []
+    (Lint.lint_sources
+       [
+         string_wire;
+         ( server,
+           "let handle_writable fd s =\n\
+           \  let pos = ref 0 in\n\
+           \  while !pos < String.length s do\n\
+           \    match Wire.write_nb fd s ~pos:!pos ~len:(String.length s - !pos) with\n\
+           \    | Some n -> pos := !pos + n\n\
+           \    | None -> pos := String.length s\n\
+           \  done" );
+       ]);
+  check_ids "raw Unix.write_substring in the server fires"
+    [ "no-block-in-loop"; "syscall-discipline" ]
+    (Lint.lint_sources
+       [
+         string_wire;
+         ( server,
+           "let handle_writable fd s =\n\
+           \  ignore (Unix.write_substring fd s 0 (String.length s))" );
+       ]);
   (* open Unix makes a bare select visible... *)
   check_ids "open-qualified select fires" [ "no-block-in-loop" ]
     (lint ~file:server "open Unix\nlet handle fds = select fds [] [] 0.1");

@@ -329,9 +329,12 @@ let test_handle () =
    reaps the child if the test fails before Quit). *)
 let with_server ?config f = Testnet.with_mem_server ?config f
 
+(* A stalled server fails the test with a receive timeout instead of
+   hanging it. *)
 let raw_connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 20.;
   fd
 
 (* --- full TCP round trip --- *)
@@ -643,19 +646,22 @@ let test_group_commit () =
   done;
   Persist.close p
 
-(* A Blob put onto a Blob head re-chunks only around what changed: one
-   64-byte overwrite of a 64 KiB page stores a handful of chunks (a full
-   rebuild puts ~18), and the tree is still the one a fresh build of the
-   page gives.  A Blob onto a [Str] head, or onto a fresh branch, has no
-   Blob to splice and builds from scratch. *)
-let test_blob_put_splices_head () =
+let with_group_commit_server f =
   Testnet.with_temp_dir @@ fun dir ->
   let port, server_pid = spawn_group_commit_server ~dir () in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
       ignore (Unix.waitpid [] server_pid))
-  @@ fun () ->
+    (fun () -> f port)
+
+(* A Blob put onto a Blob head re-chunks only around what changed: one
+   64-byte overwrite of a 64 KiB page stores a handful of chunks (a full
+   rebuild puts ~18), and the tree is still the one a fresh build of the
+   page gives.  A Blob onto a [Str] head, or onto a fresh branch, has no
+   Blob to splice and builds from scratch. *)
+let test_blob_put_splices_head () =
+  with_group_commit_server @@ fun port ->
   let c = Client.connect ~retries:20 ~port () in
   let module Fblob = Fbtypes.Fblob in
   let module Text_edit = Workload.Text_edit in
@@ -686,6 +692,161 @@ let test_blob_put_splices_head () =
   check_put ~branch:"draft" ~key:"page" (String.sub edited 100 20_000);
   Client.quit_server c;
   Client.close c
+
+(* --- pipelined batches: one write carries many requests --- *)
+
+(* Every request in one [write], before any answer is read. *)
+let send_batch fd reqs =
+  let bytes =
+    String.concat "" (List.map (fun r -> Wire.encode_frame (Wire.encode_request r)) reqs)
+  in
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes))
+
+let read_answers fd n =
+  List.init n (fun _ ->
+      match Wire.read_frame fd with
+      | Some body -> Wire.decode_response body
+      | None -> Alcotest.fail "connection closed before every answer arrived")
+
+let pipeline fd reqs =
+  send_batch fd reqs;
+  read_answers fd (List.length reqs)
+
+let put_req key value = Wire.Put { key; branch = "master"; context = ""; value }
+let get_req key = Wire.Get { key; branch = "master" }
+
+let check_value name expected = function
+  | Wire.Value v -> Alcotest.(check bool) name true (v = expected)
+  | _ -> Alcotest.fail (name ^ ": not a value")
+
+(* 32 page puts (~66 KB frames) written back to back: the server drains
+   the socket each round, so several complete puts share one fsync.
+   Reading at most 64 KiB a round, no two of them ever could. *)
+let test_pipelined_puts_share_group_commit () =
+  with_group_commit_server @@ fun port ->
+  let pages =
+    List.init 32 (fun i ->
+        Workload.Text_edit.initial_page ~seed:(Int64.of_int (100 + i)) ~size:65536)
+  in
+  let fd = raw_connect port in
+  let answers = pipeline fd (List.map (fun p -> put_req "page" (Wire.Blob p)) pages) in
+  List.iter
+    (function Wire.Uid _ -> () | _ -> Alcotest.fail "a page put was not answered by a uid")
+    answers;
+  Unix.close fd;
+  let c = Client.connect ~retries:5 ~port () in
+  (match Client.get c ~key:"page" with
+  | Wire.Blob got ->
+      Alcotest.(check bool) "reads return the last page" true
+        (got = List.nth pages 31)
+  | _ -> Alcotest.fail "not a blob");
+  let s = Client.stats c in
+  Alcotest.(check int) "every put's ack went through group commit" 32 s.Wire.acks_released;
+  Alcotest.(check bool)
+    (Printf.sprintf "puts share fsyncs (%d group commits for %d acks)"
+       s.Wire.group_commits s.Wire.acks_released)
+    true
+    (s.Wire.group_commits < s.Wire.acks_released);
+  Client.quit_server c;
+  Client.close c
+
+(* A frame whose body is exactly [max_frame_bytes] completes even though
+   it spans several rounds' read budgets: the budget bounds bytes read per
+   round, never bytes held. *)
+let test_max_size_frame_among_neighbours () =
+  let limit = 256 * 1024 in
+  let config = { Server.default_config with Server.max_frame_bytes = limit } in
+  with_server ~config @@ fun port ->
+  let body_size pad =
+    String.length (Wire.encode_request (put_req "big" (Wire.Str (String.make pad 'z'))))
+  in
+  (* the varint length prefix can grow with the pad: settle on a fixpoint *)
+  let rec exact pad = if body_size pad = limit then pad else exact (pad + limit - body_size pad) in
+  let big = Wire.Str (String.make (exact 0) 'z') in
+  let fd = raw_connect port in
+  (match pipeline fd [ put_req "small" (Wire.Str "s"); put_req "big" big; get_req "big" ] with
+  | [ Wire.Uid _; Wire.Uid _; answer ] -> check_value "the big value reads back" big answer
+  | _ -> Alcotest.fail "expected uid, uid, value in request order");
+  Unix.close fd;
+  let c = Client.connect ~retries:5 ~port () in
+  Alcotest.(check int) "no faulted close" 0 (Client.stats c).Wire.closed_err;
+  Client.quit_server c;
+  Client.close c
+
+(* A client that sends its whole batch and half-closes gets every answer,
+   in order, then EOF — also when the batch's puts are parked for group
+   commit in the round that read the EOF. *)
+let test_half_close_after_pipelined_batch () =
+  with_group_commit_server @@ fun port ->
+  let witness = Client.connect ~retries:5 ~port () in
+  let before = Client.stats witness in
+  let k = 20 in
+  let reqs =
+    List.init k (fun i ->
+        if i mod 2 = 0 then put_req "h" (Wire.Str (Printf.sprintf "v%d" i))
+        else get_req "h")
+  in
+  let fd = raw_connect port in
+  send_batch fd reqs;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  List.iteri
+    (fun i answer ->
+      match answer with
+      | Wire.Uid _ when i mod 2 = 0 -> ()
+      | answer when i mod 2 = 1 ->
+          check_value (Printf.sprintf "get %d" i)
+            (Wire.Str (Printf.sprintf "v%d" (i - 1))) answer
+      | _ -> Alcotest.fail (Printf.sprintf "answer %d out of order" i))
+    (read_answers fd k);
+  Alcotest.(check bool) "then EOF" true (Wire.read_frame fd = None);
+  Unix.close fd;
+  let after = Client.stats witness in
+  Alcotest.(check int) "one orderly close" (before.Wire.closed_ok + 1) after.Wire.closed_ok;
+  Alcotest.(check int) "no faulted close" 0 after.Wire.closed_err;
+  Client.quit_server witness;
+  Client.close witness
+
+(* Small answers are joined into shared writes and page answers go out
+   whole; either way every answer arrives byte-exact in request order. *)
+let test_coalesced_replies_keep_order () =
+  with_server @@ fun port ->
+  let strs = Array.init 10 (fun i -> Printf.sprintf "value-%d-%s" i (String.make i '*')) in
+  let pages =
+    Array.init 3 (fun i ->
+        Workload.Text_edit.initial_page ~seed:(Int64.of_int (7 + i)) ~size:65536)
+  in
+  let puts =
+    Array.to_list (Array.mapi (fun i v -> put_req (Printf.sprintf "s%d" i) (Wire.Str v)) strs)
+    @ Array.to_list (Array.mapi (fun i p -> put_req (Printf.sprintf "p%d" i) (Wire.Blob p)) pages)
+  in
+  let gets =
+    List.init 220 (fun i ->
+        if i mod 11 = 10 then
+          let j = i / 11 mod 3 in
+          (get_req (Printf.sprintf "p%d" j), Wire.Blob pages.(j))
+        else
+          let j = i mod 10 in
+          (get_req (Printf.sprintf "s%d" j), Wire.Str strs.(j)))
+  in
+  let fd = raw_connect port in
+  let answers = pipeline fd (puts @ List.map fst gets @ [ Wire.Stats ]) in
+  let n_puts = List.length puts and n_gets = List.length gets in
+  List.iteri
+    (fun i answer ->
+      if i < n_puts then
+        match answer with Wire.Uid _ -> () | _ -> Alcotest.fail "put not answered by a uid"
+      else if i < n_puts + n_gets then
+        check_value (Printf.sprintf "answer %d" i) (snd (List.nth gets (i - n_puts))) answer
+      else
+        match answer with
+        | Wire.Stats_r s ->
+            Alcotest.(check int) "frames_out counts every answer before Stats"
+              (n_puts + n_gets) s.Wire.frames_out
+        | _ -> Alcotest.fail "last answer is not Stats")
+    answers;
+  Wire.write_frame fd (Wire.encode_request Wire.Quit);
+  ignore (Wire.read_frame fd);
+  Unix.close fd
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -724,5 +885,13 @@ let () =
           Alcotest.test_case "group commit" `Quick test_group_commit;
           Alcotest.test_case "blob put splices the head" `Quick
             test_blob_put_splices_head;
+          Alcotest.test_case "pipelined page puts share a group commit" `Quick
+            test_pipelined_puts_share_group_commit;
+          Alcotest.test_case "max-size frame among neighbours" `Quick
+            test_max_size_frame_among_neighbours;
+          Alcotest.test_case "half-close after a pipelined batch" `Quick
+            test_half_close_after_pipelined_batch;
+          Alcotest.test_case "coalesced replies keep order and bytes" `Quick
+            test_coalesced_replies_keep_order;
         ] );
     ]
