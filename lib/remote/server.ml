@@ -662,8 +662,11 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
         (* A connection with answers queued and no new input has a client
            waiting on them: flush it before this round's reads drain and
            run page puts from other connections.  One that is still
-           sending keeps its answers until after the round's commit, so
-           they leave together. *)
+           sending is written after the round's commit instead, so it has
+           nothing queued at the next [select] and a streaming client's
+           acks leave every other round; pipelined page puts ran faster
+           this way than with every write before the reads
+           (EXPERIMENTS.md). *)
         let sending, waiting =
           List.partition (fun fd -> List.exists (fun r -> r = fd) readable) writable
         in
