@@ -197,50 +197,24 @@ let fsck_cmd =
           head's derivation graph (exit 1 on any violation)")
     Term.(const run $ quiet_flag)
 
-let print_conn_counters ~accepted ~active ~closed_ok ~closed_err ~frames_in
-    ~frames_out ~timeouts ~group_commits ~acks_released =
+let print_conn_counters (k : Fbremote.Server.counters) =
   Printf.printf
     "connections: accepted=%d active=%d closed_ok=%d closed_err=%d\n\
      frames: in=%d out=%d  idle timeouts: %d\n"
-    accepted active closed_ok closed_err frames_in frames_out timeouts;
-  if group_commits > 0 then
+    k.accepted k.active k.closed_ok k.closed_err k.frames_in k.frames_out
+    k.timeouts;
+  if k.group_commits > 0 then
     Printf.printf "group commit: %d fsyncs, %d acks released (%.1f acks/sync)\n"
-      group_commits acks_released
-      (float_of_int acks_released /. float_of_int group_commits)
+      k.group_commits k.acks_released
+      (float_of_int k.acks_released /. float_of_int k.group_commits)
 
-let serve_cmd =
-  let run port max_conns idle_timeout max_frame_bytes no_group_commit =
-    with_store @@ fun p ->
-    let listen_fd = Fbremote.Server.listen ~port () in
-    Printf.printf "forkbase server listening on 127.0.0.1:%d (data in %s)\n%!"
-      (Fbremote.Server.bound_port listen_fd)
-      (data_dir ());
-    let config =
-      { Fbremote.Server.default_config with max_conns; idle_timeout; max_frame_bytes }
-    in
-    (* Group commit (default): the event loop batches concurrent writers'
-       journal fsyncs into one per round, holding their acks until it. *)
-    let group_commit =
-      if no_group_commit then None
-      else begin
-        Persist.set_deferred_sync p true;
-        Some (fun () -> Persist.sync p)
-      end
-    in
-    let k =
-      Fbremote.Server.serve ~config
-        ~checkpoint:(fun () -> Persist.compact p)
-        ~journal:(Fbreplica.Replica.journal_hooks p)
-        ?group_commit (Persist.db p) listen_fd
-    in
-    Printf.printf "server stopped.\n";
-    print_conn_counters ~accepted:k.Fbremote.Server.accepted ~active:k.active
-      ~closed_ok:k.closed_ok ~closed_err:k.closed_err ~frames_in:k.frames_in
-      ~frames_out:k.frames_out ~timeouts:k.timeouts
-      ~group_commits:k.group_commits ~acks_released:k.acks_released
-  in
+(* The listen port and serving limits of 'serve' and 'follow', which
+   differ only in their default port. *)
+let server_config_term ~default_port =
   let port_arg =
-    Arg.(value & opt int 7878 & info [ "p"; "port" ] ~docv:"PORT")
+    Arg.(
+      value & opt int default_port
+      & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Listen on 127.0.0.1:$(docv).")
   in
   let max_conns_arg =
     Arg.(
@@ -264,6 +238,43 @@ let serve_cmd =
           ~doc:"Reject request frames larger than $(docv) without \
                 allocating them.")
   in
+  let config port max_conns idle_timeout max_frame_bytes =
+    ( port,
+      {
+        Fbremote.Server.default_config with
+        max_conns;
+        idle_timeout;
+        max_frame_bytes;
+      } )
+  in
+  Term.(const config $ port_arg $ max_conns_arg $ idle_timeout_arg
+        $ max_frame_bytes_arg)
+
+let serve_cmd =
+  let run (port, config) no_group_commit =
+    with_store @@ fun p ->
+    let listen_fd = Fbremote.Server.listen ~port () in
+    Printf.printf "forkbase server listening on 127.0.0.1:%d (data in %s)\n%!"
+      (Fbremote.Server.bound_port listen_fd)
+      (data_dir ());
+    (* Group commit (default): the event loop batches concurrent writers'
+       journal fsyncs into one per round, holding their acks until it. *)
+    let group_commit =
+      if no_group_commit then None
+      else begin
+        Persist.set_deferred_sync p true;
+        Some (fun () -> Persist.sync p)
+      end
+    in
+    let k =
+      Fbremote.Server.serve ~config
+        ~checkpoint:(fun () -> Persist.compact p)
+        ~journal:(Fbreplica.Replica.journal_hooks p)
+        ?group_commit (Persist.db p) listen_fd
+    in
+    Printf.printf "server stopped.\n";
+    print_conn_counters k
+  in
   let no_group_commit_arg =
     Arg.(
       value & flag
@@ -276,8 +287,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"run a network server over this store (stops on a Quit request)")
-    Term.(const run $ port_arg $ max_conns_arg $ idle_timeout_arg
-          $ max_frame_bytes_arg $ no_group_commit_arg)
+    Term.(const run $ server_config_term ~default_port:7878
+          $ no_group_commit_arg)
 
 let stats_cmd =
   let run port =
@@ -296,14 +307,18 @@ let stats_cmd =
           s.Fbremote.Wire.dedup_hits s.Fbremote.Wire.gets
           s.Fbremote.Wire.misses s.Fbremote.Wire.keys s.Fbremote.Wire.branches
           s.Fbremote.Wire.journal_seq s.Fbremote.Wire.journal_bytes;
-        print_conn_counters ~accepted:s.Fbremote.Wire.accepted
-          ~active:s.Fbremote.Wire.active ~closed_ok:s.Fbremote.Wire.closed_ok
-          ~closed_err:s.Fbremote.Wire.closed_err
-          ~frames_in:s.Fbremote.Wire.frames_in
-          ~frames_out:s.Fbremote.Wire.frames_out
-          ~timeouts:s.Fbremote.Wire.timeouts
-          ~group_commits:s.Fbremote.Wire.group_commits
-          ~acks_released:s.Fbremote.Wire.acks_released
+        print_conn_counters
+          {
+            accepted = s.accepted;
+            active = s.active;
+            closed_ok = s.closed_ok;
+            closed_err = s.closed_err;
+            frames_in = s.frames_in;
+            frames_out = s.frames_out;
+            timeouts = s.timeouts;
+            group_commits = s.group_commits;
+            acks_released = s.acks_released;
+          }
     | None ->
         with_store @@ fun p ->
         let db = Persist.db p in
@@ -374,7 +389,7 @@ let of_arg =
     & info [ "of" ] ~docv:"HOST:PORT" ~doc:"The primary to replicate from.")
 
 let follow_cmd =
-  let run primary port max_conns idle_timeout max_frame_bytes =
+  let run primary (port, config) =
     let host, primary_port = parse_host_port primary in
     let f =
       Fbreplica.Replica.open_follower ~dir:(data_dir ()) ~host
@@ -388,9 +403,6 @@ let follow_cmd =
        %!"
       (Fbremote.Server.bound_port listen_fd)
       (data_dir ()) host primary_port;
-    let config =
-      { Fbremote.Server.default_config with max_conns; idle_timeout; max_frame_bytes }
-    in
     let k = Fbreplica.Replica.serve ~config f listen_fd in
     let c = Fbreplica.Replica.counters f in
     Printf.printf
@@ -399,28 +411,7 @@ let follow_cmd =
       (Fbreplica.Replica.seq f) (Fbreplica.Replica.lag f)
       c.Fbreplica.Replica.pulls c.Fbreplica.Replica.entries_applied
       c.Fbreplica.Replica.chunks_fetched;
-    print_conn_counters ~accepted:k.Fbremote.Server.accepted ~active:k.active
-      ~closed_ok:k.closed_ok ~closed_err:k.closed_err ~frames_in:k.frames_in
-      ~frames_out:k.frames_out ~timeouts:k.timeouts
-      ~group_commits:k.group_commits ~acks_released:k.acks_released
-  in
-  let port_arg =
-    Arg.(value & opt int 7879 & info [ "p"; "port" ] ~docv:"PORT")
-  in
-  let max_conns_arg =
-    Arg.(
-      value
-      & opt int Fbremote.Server.default_config.Fbremote.Server.max_conns
-      & info [ "max-conns" ] ~docv:"N")
-  in
-  let idle_timeout_arg =
-    Arg.(value & opt float 0. & info [ "idle-timeout" ] ~docv:"SECONDS")
-  in
-  let max_frame_bytes_arg =
-    Arg.(
-      value
-      & opt int Fbremote.Wire.default_max_frame_bytes
-      & info [ "max-frame-bytes" ] ~docv:"BYTES")
+    print_conn_counters k
   in
   Cmd.v
     (Cmd.info "follow"
@@ -428,8 +419,7 @@ let follow_cmd =
          "run a read-only follower of a primary server: tail its journal \
           into this store, serve reads, redirect writes (stops on a Quit \
           request; this store is then promotable with 'forkbase serve')")
-    Term.(const run $ of_arg $ port_arg $ max_conns_arg $ idle_timeout_arg
-          $ max_frame_bytes_arg)
+    Term.(const run $ of_arg $ server_config_term ~default_port:7879)
 
 let replication_status_cmd =
   let run primary port =
@@ -592,10 +582,7 @@ let shard_cmd =
         ~self:index ~map listen_fd
     in
     Printf.printf "shard stopped.\n";
-    print_conn_counters ~accepted:k.Fbremote.Server.accepted ~active:k.active
-      ~closed_ok:k.closed_ok ~closed_err:k.closed_err ~frames_in:k.frames_in
-      ~frames_out:k.frames_out ~timeouts:k.timeouts
-      ~group_commits:k.group_commits ~acks_released:k.acks_released
+    print_conn_counters k
   in
   let index_arg =
     Arg.(

@@ -4,6 +4,7 @@ module Store = Fbchunk.Chunk_store
 module Codec = Fbutil.Codec
 module Rolling = Fbhash.Rolling
 module Tree_config = Fbtree.Tree_config
+module Index = Fbtree.Pos_tree.Index
 module Value = Fbtypes.Value
 module Prim = Fbtypes.Prim
 module Db = Forkbase.Db
@@ -248,26 +249,6 @@ let parse_leaf shape payload =
       String.sub payload body_start (String.length payload - body_start);
   }
 
-type ientry = { e_cid : Cid.t; e_count : int; e_span : int; e_last_key : string }
-
-let parse_index payload =
-  let r = Codec.reader payload in
-  let n = Codec.read_varint r in
-  if n < 0 || n > String.length payload then
-    raise (Codec.Corrupt "implausible index entry count");
-  let a =
-    Array.make n { e_cid = Cid.null; e_count = 0; e_span = 0; e_last_key = "" }
-  in
-  for i = 0 to n - 1 do
-    let e_cid = Codec.read Cid.codec r in
-    let e_count = Codec.read_varint r in
-    let e_span = Codec.read_varint r in
-    let e_last_key = Codec.read_string r in
-    a.(i) <- { e_cid; e_count; e_span; e_last_key }
-  done;
-  Codec.expect_end r;
-  a
-
 (* ------------------------------------------------------------------ *)
 (* Split-pattern re-checks.
 
@@ -359,7 +340,7 @@ let check_leaf_split ctx shape ~cid ~context ~is_final leaf =
     end
   end
 
-let check_index_split ctx ~cid ~context ~is_final entries =
+let check_index_split ctx ~cid ~context ~is_final (entries : Index.entry array) =
   let cfg = ctx.cfg in
   let imask = (1 lsl cfg.Tree_config.index_bits) - 1 in
   let n = Array.length entries in
@@ -376,7 +357,7 @@ let check_index_split ctx ~cid ~context ~is_final entries =
            });
     (try
        for i = 0 to n - 2 do
-         if Cid.low_bits entries.(i).e_cid land imask = 0 then begin
+         if Cid.low_bits entries.(i).cid land imask = 0 then begin
            add ctx
              (Split_violation
                 {
@@ -394,7 +375,7 @@ let check_index_split ctx ~cid ~context ~is_final entries =
       if
         not
           (n >= cfg.Tree_config.max_index_entries
-          || Cid.low_bits last.e_cid land imask = 0)
+          || Cid.low_bits last.cid land imask = 0)
       then
         add ctx
           (Split_violation
@@ -412,7 +393,7 @@ let check_index_split ctx ~cid ~context ~is_final entries =
 (* Tree walk: top-down, level by level, checking parent claims against
    children as we descend.                                             *)
 
-type node_state = P_opaque | P_leaf of leaf | P_index of ientry array
+type node_state = P_opaque | P_leaf of leaf | P_index of Index.entry array
 
 let walk_tree ctx shape root =
   if not (Cid.Tbl.mem ctx.checked_trees root) then begin
@@ -448,8 +429,8 @@ let walk_tree ctx shape root =
                           add ctx (Undecodable { cid; context; reason });
                           P_opaque)
                     else if chunk.Chunk.tag = shape.index_tag then (
-                      match parse_index chunk.Chunk.payload with
-                      | e -> P_index e
+                      match Codec.decode Index.codec chunk.Chunk.payload with
+                      | e -> P_index (Array.of_list e)
                       | exception Codec.Corrupt reason ->
                           add ctx (Undecodable { cid; context; reason });
                           P_opaque)
@@ -505,14 +486,14 @@ let walk_tree ctx shape root =
             | P_opaque ->
                 (* keep the ordering chain honest across the unreadable gap *)
                 if shape.sorted then (
-                  match (claim : ientry option) with
-                  | Some c -> prev_key := Some c.e_last_key
+                  match (claim : Index.entry option) with
+                  | Some c -> prev_key := Some c.last_key
                   | None -> ())
             | P_leaf leaf ->
                 let n = Array.length leaf.l_keys in
                 (match claim with
                 | Some c ->
-                    if c.e_count <> n || c.e_span <> n then
+                    if c.count <> n || c.span <> n then
                       add ctx
                         (Structure
                            {
@@ -522,12 +503,12 @@ let walk_tree ctx shape root =
                                Printf.sprintf
                                  "parent claims count=%d span=%d but leaf \
                                   holds %d elements"
-                                 c.e_count c.e_span n;
+                                 c.count c.span n;
                            });
                     let actual_last =
                       if shape.sorted && n > 0 then leaf.l_keys.(n - 1) else ""
                     in
-                    if not (String.equal c.e_last_key actual_last) then
+                    if not (String.equal c.last_key actual_last) then
                       add ctx
                         (Structure
                            {
@@ -536,7 +517,7 @@ let walk_tree ctx shape root =
                              reason =
                                Printf.sprintf
                                  "parent claims last_key %S but leaf ends at %S"
-                                 c.e_last_key actual_last;
+                                 c.last_key actual_last;
                            })
                 | None -> ());
                 if n = 0 && not (claim = None && width = 1) then
@@ -565,11 +546,13 @@ let walk_tree ctx shape root =
             | P_index entries ->
                 let n = Array.length entries in
                 let total =
-                  Array.fold_left (fun s e -> s + e.e_count) 0 entries
+                  Array.fold_left
+                    (fun s (e : Index.entry) -> s + e.count)
+                    0 entries
                 in
                 (match claim with
                 | Some c ->
-                    if c.e_count <> total || c.e_span <> n then
+                    if c.count <> total || c.span <> n then
                       add ctx
                         (Structure
                            {
@@ -579,12 +562,12 @@ let walk_tree ctx shape root =
                                Printf.sprintf
                                  "parent claims count=%d span=%d but node \
                                   sums count=%d span=%d"
-                                 c.e_count c.e_span total n;
+                                 c.count c.span total n;
                            });
                     let actual_last =
-                      if n > 0 then entries.(n - 1).e_last_key else ""
+                      if n > 0 then entries.(n - 1).last_key else ""
                     in
-                    if not (String.equal c.e_last_key actual_last) then
+                    if not (String.equal c.last_key actual_last) then
                       add ctx
                         (Structure
                            {
@@ -594,7 +577,7 @@ let walk_tree ctx shape root =
                                Printf.sprintf
                                  "parent claims last_key %S but node ends at \
                                   %S"
-                                 c.e_last_key actual_last;
+                                 c.last_key actual_last;
                            })
                 | None -> ());
                 if n = 0 then
@@ -602,16 +585,16 @@ let walk_tree ctx shape root =
                     (Structure { cid; context; reason = "empty index node" });
                 (try
                    Array.iteri
-                     (fun k e ->
+                     (fun k (e : Index.entry) ->
                        if shape.sorted then begin
                          (match !prev_key with
-                         | Some p when String.compare p e.e_last_key >= 0 ->
+                         | Some p when String.compare p e.last_key >= 0 ->
                              order_violation cid context "entry" k;
                              raise Exit
                          | _ -> ());
-                         prev_key := Some e.e_last_key
+                         prev_key := Some e.last_key
                        end
-                       else if e.e_last_key <> "" then begin
+                       else if e.last_key <> "" then begin
                          add ctx
                            (Structure
                               {
@@ -628,7 +611,7 @@ let walk_tree ctx shape root =
                      entries
                  with Exit ->
                    if shape.sorted && n > 0 then
-                     prev_key := Some entries.(n - 1).e_last_key);
+                     prev_key := Some entries.(n - 1).last_key);
                 check_index_split ctx ~cid ~context ~is_final entries)
           parsed;
         if indexes > 0 then begin
@@ -638,7 +621,9 @@ let walk_tree ctx shape root =
                  (function
                    | _, _, _, P_index entries ->
                        Array.to_list
-                         (Array.map (fun e -> (e.e_cid, Some e)) entries)
+                         (Array.map
+                            (fun (e : Index.entry) -> (e.cid, Some e))
+                            entries)
                    | _ -> [])
                  (Array.to_list parsed))
           in

@@ -1,63 +1,76 @@
 module Cid = Fbchunk.Cid
+module Chunk = Fbchunk.Chunk
 module Store = Fbchunk.Chunk_store
-module Value = Fbtypes.Value
+module Codec = Fbutil.Codec
+module Index = Fbtree.Pos_tree.Index
 
-(* Mark phase: from every branch head, walk the derivation DAG; for each
-   version, mark its meta chunk and every chunk of its value tree. *)
-let reachable db =
-  let store = Db.store db in
-  let cfg = Db.cfg db in
-  let marked = ref Cid.Set.empty in
-  let mark cid = marked := Cid.Set.add cid !marked in
-  let rec walk_version uid =
-    if not (Cid.Set.mem uid !marked) then begin
-      mark uid;
-      match Fobject.load store uid with
-      | None -> ()
-      | Some obj ->
-          (match Fobject.value store cfg obj with
-          | Value.Prim _ -> ()
-          | Value.Blob b -> Fbtypes.Fblob.iter_chunks b mark
-          | Value.List l -> Fbtypes.Flist.iter_chunks l mark
-          | Value.Map m -> Fbtypes.Fmap.iter_chunks m mark
-          | Value.Set s -> Fbtypes.Fset.iter_chunks s mark
-          | exception Store.Missing_chunk _ -> ());
-          List.iter walk_version obj.Fobject.bases
+let children (chunk : Chunk.t) =
+  match chunk.Chunk.tag with
+  | Chunk.Meta -> (
+      let obj = Fobject.of_chunk chunk in
+      match obj.Fobject.kind with
+      | Fbtypes.Value.Kprim -> obj.Fobject.bases
+      | _ -> obj.Fobject.bases @ [ Cid.of_raw obj.Fobject.data ])
+  | Chunk.UIndex | Chunk.SIndex ->
+      List.map
+        (fun e -> e.Index.cid)
+        (Codec.decode Index.codec chunk.Chunk.payload)
+  | Chunk.Blob | Chunk.List | Chunk.Set | Chunk.Map -> []
+
+(* Breadth first over an explicit queue: [todo] holds cids not yet looked
+   up, [absent] those the local store lacks.  Fetching waits until [todo]
+   is empty, so each batch carries every absent cid known so far, up to
+   [batch]. *)
+let walk ?local ?(fetch = fun _ -> []) ?(batch = max_int) visit roots =
+  let seen = Cid.Tbl.create 256 in
+  let todo = Queue.create () and absent = Queue.create () in
+  let push cid =
+    if not (Cid.Tbl.mem seen cid) then begin
+      Cid.Tbl.add seen cid ();
+      Queue.add cid todo
     end
   in
-  List.iter
-    (fun key ->
-      List.iter (fun (_, head) -> walk_version head) (Db.list_tagged_branches db ~key);
-      List.iter walk_version (Db.list_untagged_branches db ~key))
-    (Db.list_keys db);
-  !marked
+  let resolved chunk =
+    visit chunk;
+    List.iter push (children chunk)
+  in
+  let get = match local with Some s -> s.Store.get | None -> fun _ -> None in
+  List.iter push roots;
+  while not (Queue.is_empty todo && Queue.is_empty absent) do
+    if not (Queue.is_empty todo) then begin
+      let cid = Queue.pop todo in
+      match get cid with
+      | Some chunk -> resolved chunk
+      | None -> Queue.add cid absent
+    end
+    else begin
+      let rec take n acc =
+        if n = 0 || Queue.is_empty absent then List.rev acc
+        else take (n - 1) (Queue.pop absent :: acc)
+      in
+      List.iter resolved (fetch (take batch []))
+    end
+  done
 
-let sweep db ~into =
-  let store = Db.store db in
-  let live = reachable db in
+(* Mark: from every tagged and untagged head, over the local store only.
+   [visit] sees each live chunk once; returns the live totals. *)
+let mark db visit =
+  let heads key =
+    List.map snd (Db.list_tagged_branches db ~key)
+    @ Db.list_untagged_branches db ~key
+  in
   let chunks = ref 0 and bytes = ref 0 in
-  Cid.Set.iter
-    (fun cid ->
-      match store.Store.get cid with
-      | Some chunk ->
-          let (_ : Cid.t) = into.Store.put chunk in
-          incr chunks;
-          bytes := !bytes + Fbchunk.Chunk.byte_size chunk
-      | None -> ())
-    live;
+  walk ~local:(Db.store db)
+    (fun chunk ->
+      visit chunk;
+      incr chunks;
+      bytes := !bytes + Chunk.byte_size chunk)
+    (List.concat_map heads (Db.list_keys db));
   (!chunks, !bytes)
 
+let sweep db ~into = mark db (fun chunk -> ignore (into.Store.put chunk : Cid.t))
+
 let garbage_stats db =
-  let store = Db.store db in
-  let live = reachable db in
-  let live_chunks = ref 0 and live_bytes = ref 0 in
-  Cid.Set.iter
-    (fun cid ->
-      match store.Store.get cid with
-      | Some chunk ->
-          incr live_chunks;
-          live_bytes := !live_bytes + Fbchunk.Chunk.byte_size chunk
-      | None -> ())
-    live;
-  let stats = store.Store.stats () in
-  (stats.Store.chunks - !live_chunks, stats.Store.bytes - !live_bytes)
+  let live_chunks, live_bytes = mark db ignore in
+  let stats = (Db.store db).Store.stats () in
+  (stats.Store.chunks - live_chunks, stats.Store.bytes - live_bytes)

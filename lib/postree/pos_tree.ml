@@ -15,14 +15,27 @@ module type ELEM = sig
   val index_tag : Fbchunk.Chunk.tag
 end
 
+module Index = struct
+  type entry = { cid : Cid.t; count : int; span : int; last_key : string }
+
+  let codec =
+    Codec.seq
+      (Codec.conv
+         (fun e -> (e.cid, e.count, e.span, e.last_key))
+         (fun (cid, count, span, last_key) -> { cid; count; span; last_key })
+         Codec.(quad Cid.codec uint uint str))
+end
+
 module Make (E : ELEM) = struct
   type elem = E.t
 
-  (* A reference to a child chunk, as stored in index nodes.  [count] is the
-     number of elements in the subtree, [span] the number of entries in the
-     child chunk itself, [last_key] the largest key in the subtree (empty
-     for positional containers). *)
-  type chunk_ref = { cid : Cid.t; count : int; span : int; last_key : string }
+  (* A reference to a child chunk: an index entry. *)
+  type chunk_ref = Index.entry = {
+    cid : Cid.t;
+    count : int;
+    span : int;
+    last_key : string;
+  }
 
   type t = {
     store : Store.t;
@@ -43,9 +56,18 @@ module Make (E : ELEM) = struct
     Buffer.add_buffer payload body;
     Buffer.contents payload
 
-  let decode_leaf chunk =
-    let r = Codec.reader chunk.Chunk.payload in
+  (* A leaf payload opens with its element count.  Every element encodes
+     to at least one byte, so a count beyond the bytes that follow is
+     corrupt: refuse it before anything is sized by it. *)
+  let leaf_header payload =
+    let r = Codec.reader payload in
     let n = Codec.read_varint r in
+    if n > String.length payload - Codec.pos r then
+      raise (Codec.Corrupt "leaf element count exceeds its payload");
+    (r, n)
+
+  let decode_leaf chunk =
+    let r, n = leaf_header chunk.Chunk.payload in
     if n = 0 then begin
       Codec.expect_end r;
       [||]
@@ -60,31 +82,10 @@ module Make (E : ELEM) = struct
       a
     end
 
-  let encode_index_payload entries =
-    let payload = Buffer.create 1024 in
-    Codec.varint payload (List.length entries);
-    List.iter
-      (fun e ->
-        Codec.write Cid.codec payload e.cid;
-        Codec.varint payload e.count;
-        Codec.varint payload e.span;
-        Codec.string payload e.last_key)
-      entries;
-    Buffer.contents payload
+  let encode_index_payload entries = Codec.encode ~size:1024 Index.codec entries
 
   let decode_index chunk =
-    let r = Codec.reader chunk.Chunk.payload in
-    let n = Codec.read_varint r in
-    let a = Array.make n { cid = Cid.null; count = 0; span = 0; last_key = "" } in
-    for i = 0 to n - 1 do
-      let cid = Codec.read Cid.codec r in
-      let count = Codec.read_varint r in
-      let span = Codec.read_varint r in
-      let last_key = Codec.read_string r in
-      a.(i) <- { cid; count; span; last_key }
-    done;
-    Codec.expect_end r;
-    a
+    Array.of_list (Codec.decode Index.codec chunk.Chunk.payload)
 
   (* ------------------------------------------------------------------ *)
   (* Builders.  Both builders cut on a content-defined pattern and reset
@@ -276,8 +277,7 @@ module Make (E : ELEM) = struct
       if not E.sorted then begin
         (* Positional containers never need leaf keys: read the element
            count from the header and defer payload decoding. *)
-        let r = Codec.reader chunk.Chunk.payload in
-        let n = Codec.read_varint r in
+        let _, n = leaf_header chunk.Chunk.payload in
         { cid; count = n; span = n; last_key = "" }
       end
       else begin
@@ -418,8 +418,7 @@ module Make (E : ELEM) = struct
 
   let leaf_bytes t i =
     let payload = (Store.get_exn t.store t.levels.(0).(i).cid).Chunk.payload in
-    let r = Codec.reader payload in
-    let count = Codec.read_varint r in
+    let r, count = leaf_header payload in
     (payload, Codec.pos r, count)
 
   let iter_leaf_payloads t ~pos ~len f =
@@ -783,8 +782,6 @@ module Make (E : ELEM) = struct
 
   let leaf_cids t = Array.map (fun r -> r.cid) t.levels.(0)
 
-  let iter_cids t f =
-    Array.iter (fun level -> Array.iter (fun r -> f r.cid) level) t.levels
   let chunk_count t = Array.fold_left (fun s l -> s + Array.length l) 0 t.levels
 
   let stored_bytes t =

@@ -21,6 +21,9 @@ module type ELEM = sig
   type t
 
   val encode : Buffer.t -> t -> unit
+  (** Writes at least one byte: a leaf that claims more elements than it
+      has payload bytes is refused as corrupt. *)
+
   val decode : Fbutil.Codec.reader -> t
 
   val key : t -> string
@@ -32,6 +35,25 @@ module type ELEM = sig
 
   val leaf_tag : Fbchunk.Chunk.tag
   val index_tag : Fbchunk.Chunk.tag
+end
+
+(** The one layout of an index node's payload, shared by every container
+    and by the readers that follow chunk references ([Forkbase.Gc],
+    [Fbcheck.Fsck]). *)
+module Index : sig
+  type entry = {
+    cid : Fbchunk.Cid.t;  (** the child chunk *)
+    count : int;  (** elements in the child's subtree *)
+    span : int;  (** entries in the child chunk itself *)
+    last_key : string;
+        (** largest key in the subtree; [""] in positional containers *)
+  }
+
+  val codec : entry list Fbutil.Codec.t
+  (** A varint entry count, then per entry the 32 cid bytes, [count] and
+      [span] as varints and the length-prefixed [last_key].  A count the
+      payload cannot hold fails on the first missing entry with
+      {!Fbutil.Codec.Corrupt}. *)
 end
 
 module Make (E : ELEM) : sig
@@ -58,7 +80,9 @@ module Make (E : ELEM) : sig
       tree's skeleton); leaf payloads are fetched on demand.  Each index
       chunk is fetched once, plus leaf 0 to find where the index levels
       end.
-      @raise Fbchunk.Chunk_store.Missing_chunk if the skeleton is incomplete. *)
+      @raise Fbchunk.Chunk_store.Missing_chunk if the skeleton is incomplete.
+      @raise Fbutil.Codec.Corrupt if a chunk claims more elements or
+      entries than its payload holds. *)
 
   val root : t -> Fbchunk.Cid.t
   (** The root cid — a tamper-evident digest of the whole content. *)
@@ -147,10 +171,6 @@ module Make (E : ELEM) : sig
   (** {1 Structure} *)
 
   val leaf_cids : t -> Fbchunk.Cid.t array
-
-  val iter_cids : t -> (Fbchunk.Cid.t -> unit) -> unit
-  (** Visit the cid of every reachable chunk (leaves and index nodes) —
-      the tree's contribution to a garbage-collection mark phase. *)
 
   val chunk_count : t -> int
   (** Total chunks (leaves + index nodes) reachable from the root. *)

@@ -1,7 +1,6 @@
 module Cid = Fbchunk.Cid
 module Chunk = Fbchunk.Chunk
 module Store = Fbchunk.Chunk_store
-module Codec = Fbutil.Codec
 module Journal = Fbpersist.Journal
 module Persist = Fbpersist.Persist
 module Client = Fbremote.Client
@@ -71,35 +70,10 @@ let drop_conn t =
    A journal entry may only be applied once every chunk its records
    reference — transitively — is locally resolvable, or the follower
    would accept a branch head it cannot read.  The closure is walked
-   from the record roots; present chunks are read locally (so a crash
-   that persisted a parent without its children self-heals on the next
-   sync), absent ones are fetched from the primary in bounded batches. *)
-
-let chunk_children (chunk : Chunk.t) =
-  match chunk.Chunk.tag with
-  | Chunk.Meta ->
-      let obj = Forkbase.Fobject.of_chunk chunk in
-      let root =
-        match obj.Forkbase.Fobject.kind with
-        | Fbtypes.Value.Kprim -> []
-        | _ -> [ Cid.of_raw obj.Forkbase.Fobject.data ]
-      in
-      obj.Forkbase.Fobject.bases @ root
-  | Chunk.UIndex | Chunk.SIndex ->
-      let r = Codec.reader chunk.Chunk.payload in
-      let n = Codec.read_varint r in
-      if n < 0 || n > String.length chunk.Chunk.payload then
-        raise (Codec.Corrupt "implausible index entry count");
-      let acc = ref [] in
-      for _ = 1 to n do
-        let cid = Codec.read Cid.codec r in
-        let _count = Codec.read_varint r in
-        let _span = Codec.read_varint r in
-        let _last_key = Codec.read_string r in
-        acc := cid :: !acc
-      done;
-      List.rev !acc
-  | Chunk.Blob | Chunk.List | Chunk.Set | Chunk.Map -> []
+   from the record roots by [Forkbase.Gc.walk]; present chunks are read
+   locally (so a crash that persisted a parent without its children
+   self-heals on the next sync), absent ones are fetched from the primary
+   in bounded batches. *)
 
 (* Closure roots of one journal record.  For a checkpoint snapshot only
    the branch heads are roots: [snap_known] may reference versions the
@@ -127,36 +101,19 @@ exception Stale_batch
 
 let fetch_closure t roots =
   let store = Forkbase.Db.store (Persist.db t.persist) in
-  let seen = Cid.Tbl.create 64 in
-  let pending = Queue.create () in
-  let rec visit cid =
-    if not (Cid.Tbl.mem seen cid) then begin
-      Cid.Tbl.add seen cid ();
-      match store.Store.get cid with
-      | Some chunk -> List.iter visit (chunk_children chunk)
-      | None -> Queue.add cid pending
-    end
-  in
-  List.iter visit roots;
-  while not (Queue.is_empty pending) do
-    let batch = ref [] in
-    while
-      (not (Queue.is_empty pending))
-      && List.length !batch < Server.max_fetch_chunks
-    do
-      batch := Queue.pop pending :: !batch
-    done;
-    let batch = List.rev !batch in
+  let fetch batch =
     let encoded = Client.fetch_chunks (conn t) batch in
     if List.length encoded <> List.length batch then raise Stale_batch;
-    List.iter
+    List.map
       (fun enc ->
         let chunk = Chunk.decode enc in
-        ignore (store.Store.put chunk);
+        ignore (store.Store.put chunk : Cid.t);
         t.chunks_fetched <- t.chunks_fetched + 1;
-        List.iter visit (chunk_children chunk))
+        chunk)
       encoded
-  done
+  in
+  Forkbase.Gc.walk ~local:store ~fetch ~batch:Server.max_fetch_chunks ignore
+    roots
 
 let sync_step t =
   match

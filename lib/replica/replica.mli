@@ -129,14 +129,6 @@ val pull_batch : int
 (** Entries per [Pull_journal] response (256) — bounds response frames
     and keeps a catch-up follower's memory footprint flat. *)
 
-val chunk_children : Fbchunk.Chunk.t -> Fbchunk.Cid.t list
-(** The cids a chunk references directly: a meta chunk's bases + value
-    root, a POS-Tree index node's children, nothing for leaves.  Walking
-    it from a branch head enumerates the head's whole closure — the
-    follower backfill uses it, and the shard rebalancer (lib/shard)
-    reuses it to copy a key's chunks between shards.
-    @raise Fbutil.Codec.Corrupt on an implausible index payload. *)
-
 val serve :
   ?config:Fbremote.Server.config ->
   t ->

@@ -6,7 +6,6 @@ module Cid = Fbchunk.Cid
 module Store = Fbchunk.Chunk_store
 module Fobject = Forkbase.Fobject
 module Value = Fbtypes.Value
-module Replica = Fbreplica.Replica
 
 exception Unroutable of string
 exception Rebalance_failed of string
@@ -287,39 +286,19 @@ let fetch_chunks_anywhere t ~src cids =
             (Cid.Tbl.length want)));
   List.rev !got
 
-(* The whole closure of [roots] (meta bases + POS-Tree children, via
-   {!Fbreplica.Replica.chunk_children}), as encoded chunks, fetched in
-   bounded batches. *)
+(* The whole closure of [roots] (meta bases + POS-Tree children, walked
+   by [Forkbase.Gc.walk] with no local store), as encoded chunks, fetched
+   in bounded batches. *)
 let pull_closure t ~src roots =
-  let seen = Cid.Tbl.create 256 in
-  let frontier = Queue.create () in
-  List.iter
-    (fun cid ->
-      if not (Cid.Tbl.mem seen cid) then begin
-        Cid.Tbl.replace seen cid ();
-        Queue.push cid frontier
-      end)
-    roots;
   let out = ref [] in
-  while not (Queue.is_empty frontier) do
-    let batch = ref [] in
-    let n = ref 0 in
-    while !n < batch_chunks && not (Queue.is_empty frontier) do
-      batch := Queue.pop frontier :: !batch;
-      incr n
-    done;
-    List.iter
+  let fetch cids =
+    List.map
       (fun (chunk, enc) ->
         out := enc :: !out;
-        List.iter
-          (fun child ->
-            if not (Cid.Tbl.mem seen child) then begin
-              Cid.Tbl.replace seen child ();
-              Queue.push child frontier
-            end)
-          (Replica.chunk_children chunk))
-      (fetch_chunks_anywhere t ~src !batch)
-  done;
+        chunk)
+      (fetch_chunks_anywhere t ~src cids)
+  in
+  Forkbase.Gc.walk ~fetch ~batch:batch_chunks ignore roots;
   List.rev !out
 
 (* ------------------------------------------------------------------ *)

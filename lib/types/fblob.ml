@@ -111,5 +111,4 @@ let diff_region a b =
 
 let chunk_count = T.chunk_count
 let height = T.height
-let iter_chunks = T.iter_cids
 let verify = T.verify

@@ -41,5 +41,4 @@ val diff_region : t -> t -> ((int * int) * (int * int)) option
 
 val chunk_count : t -> int
 val height : t -> int
-val iter_chunks : t -> (Fbchunk.Cid.t -> unit) -> unit
 val verify : t -> bool

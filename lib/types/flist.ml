@@ -34,5 +34,4 @@ let insert t ~pos ins = T.splice t ~pos ~del:0 ~ins
 let remove t ~pos ~len = T.splice t ~pos ~del:len ~ins:[]
 let diff_region = T.diff_region
 let chunk_count = T.chunk_count
-let iter_chunks = T.iter_cids
 let verify = T.verify

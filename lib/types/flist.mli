@@ -33,5 +33,4 @@ val splice_many : t -> (int * int * string list) list -> t
 
 val diff_region : t -> t -> ((int * int) * (int * int)) option
 val chunk_count : t -> int
-val iter_chunks : t -> (Fbchunk.Cid.t -> unit) -> unit
 val verify : t -> bool

@@ -41,5 +41,4 @@ val diff :
 (** Key-wise difference; identical subtrees are skipped by cid. *)
 
 val chunk_count : t -> int
-val iter_chunks : t -> (Fbchunk.Cid.t -> unit) -> unit
 val verify : t -> bool

@@ -36,5 +36,4 @@ let diff a b =
     (T.diff_sorted a b)
 
 let chunk_count = T.chunk_count
-let iter_chunks = T.iter_cids
 let verify = T.verify

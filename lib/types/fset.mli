@@ -22,5 +22,4 @@ val diff : t -> t -> [ `Left of string | `Right of string ] list
 (** Elements only in the first / only in the second set. *)
 
 val chunk_count : t -> int
-val iter_chunks : t -> (Fbchunk.Cid.t -> unit) -> unit
 val verify : t -> bool

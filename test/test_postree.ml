@@ -284,6 +284,72 @@ let test_diff_region () =
       Alcotest.(check bool) "regions are local" true (l1 < 600 && l2 < 600));
   Alcotest.(check bool) "identical -> None" true (T.diff_region t1 t1 = None)
 
+(* A chunk that claims more elements or index entries than its payload
+   holds is refused as corrupt before anything is sized by the claim (a
+   count of 2^60 once reached [Array.make]).  Each chunk is loaded as a
+   tree's root and read. *)
+let test_implausible_counts () =
+  let store = Store.mem_store () in
+  let claims_huge tag rest =
+    let b = Buffer.create 64 in
+    Fbutil.Codec.varint b (1 lsl 60);
+    Buffer.add_string b rest;
+    store.Store.put (Fbchunk.Chunk.v tag (Buffer.contents b))
+  in
+  let index = claims_huge Fbchunk.Chunk.UIndex (String.make 40 'x') in
+  let list_leaf = claims_huge Fbchunk.Chunk.List "\003abc" in
+  let map_leaf = claims_huge Fbchunk.Chunk.Map "\001k\001v" in
+  List.iter
+    (fun (what, read) ->
+      match read () with
+      | exception Fbutil.Codec.Corrupt _ -> ()
+      | _ -> Alcotest.failf "%s: a count of 2^60 was accepted" what)
+    [
+      ("UIndex root", fun () -> ignore (T.get (T.of_root store cfg index) 0));
+      ("List leaf", fun () -> ignore (T.get (T.of_root store cfg list_leaf) 0));
+      ("Map leaf", fun () -> ignore (M.get (M.of_root store cfg map_leaf) 0));
+    ]
+
+(* --- golden chunk bytes --- *)
+
+(* Root cids of fixed two-level trees (one index node over its leaves)
+   under [Tree_config.default].  Chunk bytes define every uid, so a
+   change to the leaf or index layout, or to the split rules, shows up
+   here as a different root. *)
+let test_golden_roots () =
+  let module Fb = Fbtypes in
+  let store = Store.mem_store () in
+  let cfg = Fbtree.Tree_config.default in
+  let names n fmt = List.init n (Printf.sprintf fmt) in
+  let page =
+    Fbutil.Splitmix.bytes (Fbutil.Splitmix.create 0x6F1DL) 40_000
+  in
+  let blob = Fb.Fblob.create store cfg page in
+  let list = Fb.Flist.create store cfg (names 3000 "item-%05d") in
+  let map =
+    Fb.Fmap.create store cfg
+      (List.map (fun k -> (k, "value-" ^ k)) (names 1500 "key-%05d"))
+  in
+  let set = Fb.Fset.create store cfg (names 3000 "member-%05d") in
+  List.iter
+    (fun (what, (root, chunks), (want_hex, want_chunks)) ->
+      Alcotest.(check string) (what ^ " root cid") want_hex (Cid.to_hex root);
+      Alcotest.(check int) (what ^ " chunk count") want_chunks chunks)
+    [
+      ( "blob",
+        Fb.Fblob.(root blob, chunk_count blob),
+        ("fc679622e20e5b124cc6a9491b250e8c1fbc5e5de4b47127c58d280078b5950d", 11) );
+      ( "list",
+        Fb.Flist.(root list, chunk_count list),
+        ("47153bca2f18f7bb37457d0518f2d358e7fd216a72d05a15ab08680256d90162", 5) );
+      ( "map",
+        Fb.Fmap.(root map, chunk_count map),
+        ("7c714a5f59f7a03358a79999427bdb5f756824011079f512224df388a2d2d254", 6) );
+      ( "set",
+        Fb.Fset.(root set, chunk_count set),
+        ("83e78af4f668ca2baa3815a201a799e4e531c74dd59f0d0ef3d5c154261b606c", 7) );
+    ]
+
 (* --- sorted (Map-like) container --- *)
 
 let kv i = (Printf.sprintf "key-%05d" i, Printf.sprintf "val-%d" i)
@@ -424,6 +490,9 @@ let () =
           Alcotest.test_case "repeated content" `Quick test_repeated_content;
           Alcotest.test_case "verify" `Quick test_verify_missing;
           Alcotest.test_case "diff region" `Quick test_diff_region;
+          Alcotest.test_case "golden root cids" `Quick test_golden_roots;
+          Alcotest.test_case "implausible counts are corrupt" `Quick
+            test_implausible_counts;
         ] );
       ( "degenerate",
         [

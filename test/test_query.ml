@@ -170,6 +170,66 @@ let test_gc_orphaned_version_is_garbage () =
   let garbage_chunks, _ = Gc.garbage_stats db in
   Alcotest.(check int) "merge preserved lineage" 0 garbage_chunks
 
+(* A damaged tree keeps its survivors: with one chunk of a version's tree
+   missing from the store, a sweep still copies the meta chunk, the root
+   and every chunk it can reach around the hole.  [hide] picks the missing
+   chunk among the root's children: leaf 0 of a two-level tree, or an
+   inner index node of a three-level one. *)
+let test_gc_sweep_keeps_damaged_tree () =
+  List.iter
+    (fun (what, size, child_tag, hide) ->
+      let base = Store.mem_store () in
+      let hidden = ref None in
+      let is_hidden cid =
+        Option.fold ~none:false ~some:(Cid.equal cid) !hidden
+      in
+      let store =
+        {
+          base with
+          Store.get =
+            (fun cid -> if is_hidden cid then None else base.Store.get cid);
+          mem = (fun cid -> (not (is_hidden cid)) && base.Store.mem cid);
+        }
+      in
+      let db = Db.create store in
+      let page = Workload.Text_edit.initial_page ~seed:5L ~size in
+      let uid = Db.put db ~key:"doc" (Db.blob db page) in
+      let root =
+        match Db.get_version db uid with
+        | Ok (Fbtypes.Value.Blob b) -> Fbtypes.Fblob.root b
+        | _ -> Alcotest.fail "blob version unreadable"
+      in
+      let chunk cid = Option.get (base.Store.get cid) in
+      let kids = Gc.children (chunk root) in
+      List.iter
+        (fun c ->
+          if (chunk c).Fbchunk.Chunk.tag <> child_tag then
+            Alcotest.failf "%s: the root's children are not all %s" what
+              (Fbchunk.Chunk.tag_to_string child_tag))
+        kids;
+      let gone = List.nth kids (hide (List.length kids)) in
+      hidden := Some gone;
+      let survivors =
+        List.concat_map
+          (fun c -> if Cid.equal c gone then [] else c :: Gc.children (chunk c))
+          kids
+      in
+      let into = Store.mem_store () in
+      let live_chunks, _ = Gc.sweep db ~into in
+      List.iter
+        (fun (name, cid) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s %s kept" what name (Cid.short_hex cid))
+            true (into.Store.mem cid))
+        ((("meta", uid) :: [ ("root", root) ])
+        @ List.map (fun c -> ("chunk", c)) survivors);
+      Alcotest.(check int) (what ^ ": live count")
+        (2 + List.length survivors) live_chunks)
+    [
+      ("missing leaf 0", 30_000, Fbchunk.Chunk.Blob, fun _ -> 0);
+      ("missing index node", 600_000, Fbchunk.Chunk.UIndex, fun n -> n / 2);
+    ]
+
 let () =
   Alcotest.run "query-gc"
     [
@@ -188,6 +248,8 @@ let () =
           Alcotest.test_case "merged branch stays live" `Quick
             test_gc_collects_removed_branch;
           Alcotest.test_case "sweep preserves data" `Quick test_gc_sweep_preserves_data;
+          Alcotest.test_case "sweep keeps a damaged tree's survivors" `Quick
+            test_gc_sweep_keeps_damaged_tree;
           Alcotest.test_case "merge preserves lineage" `Quick
             test_gc_orphaned_version_is_garbage;
         ] );

@@ -214,9 +214,12 @@ let resolve cfg s = function
 
 let prop_differential ((cfg : Fbtree.Tree_config.t), page, script) =
   let s_splice = fresh () and s_update = fresh () and s_create = fresh () in
-  let chunks b =
+  (* the chunk set of a tree: its closure from the root cid *)
+  let chunks st b =
     let set = ref Fbchunk.Cid.Set.empty in
-    Fblob.iter_chunks b (fun c -> set := Fbchunk.Cid.Set.add c !set);
+    Forkbase.Gc.walk ~local:st
+      (fun c -> set := Fbchunk.Cid.Set.add (Fbchunk.Chunk.cid c) !set)
+      [ Fblob.root b ];
     !set
   in
   let bytes st = (st.Store.stats ()).Store.bytes in
@@ -233,8 +236,10 @@ let prop_differential ((cfg : Fbtree.Tree_config.t), page, script) =
       updated := Fblob.update !updated !current;
       let created = Fblob.create s_create cfg !current in
       Fblob.equal !spliced created && Fblob.equal !updated created
-      && Fbchunk.Cid.Set.equal (chunks !spliced) (chunks created)
-      && Fbchunk.Cid.Set.equal (chunks !updated) (chunks created)
+      && Fbchunk.Cid.Set.equal (chunks s_splice !spliced)
+           (chunks s_create created)
+      && Fbchunk.Cid.Set.equal (chunks s_update !updated)
+           (chunks s_create created)
       && bytes s_splice = bytes s_create && bytes s_update = bytes s_create
       && Fblob.to_string !spliced = !current)
     script
