@@ -127,24 +127,6 @@ module Procs = Fbremote.Procs
 module Wire = Fbremote.Wire
 module Fsck = Fbcheck.Fsck
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_scratch tag f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fb-bench-shard-%s-%d" tag (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let shard_dirs scratch n =
   List.init n (fun i -> Filename.concat scratch (Printf.sprintf "shard-%d" i))
 
@@ -172,7 +154,7 @@ let fork_workers w body =
 
 let put_throughput ~group_commit ~shards ~workers ~ops_per_worker ~value_bytes
     =
-  with_scratch (Printf.sprintf "tput%d" shards) @@ fun scratch ->
+  Bench_util.with_temp_dir @@ fun scratch ->
   let dirs = shard_dirs scratch shards in
   let procs, map = Shard.spawn_cluster ~group_commit ~dirs () in
   Fun.protect ~finally:(fun () -> List.iter Procs.kill procs) @@ fun () ->
@@ -199,7 +181,7 @@ let put_throughput ~group_commit ~shards ~workers ~ops_per_worker ~value_bytes
    fifth, and finally replays the log against the cluster — every line
    was acked, so every line must read back. *)
 let chaos_pass ~ops =
-  with_scratch "chaos" @@ fun scratch ->
+  Bench_util.with_temp_dir @@ fun scratch ->
   let shards = 4 in
   let dirs = shard_dirs scratch shards in
   let procs, map = Shard.spawn_cluster ~dirs () in
@@ -307,7 +289,7 @@ let chaos_pass ~ops =
    substitution, DESIGN.md §1.3) projects the scaling curve this
    topology reaches when each shard process actually gets a core. *)
 let measured_put_service ~ops ~value_bytes =
-  with_scratch "svc" @@ fun scratch ->
+  Bench_util.with_temp_dir @@ fun scratch ->
   let dirs = shard_dirs scratch 1 in
   let procs, map = Shard.spawn_cluster ~dirs () in
   Fun.protect ~finally:(fun () -> List.iter Procs.kill procs) @@ fun () ->

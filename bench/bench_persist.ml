@@ -10,18 +10,6 @@ module Db = Forkbase.Db
 module Persist = Fbpersist.Persist
 module U = Bench_util
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbbench-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
 let fill db n =
   for i = 1 to n do
     let (_ : Cid.t) =
@@ -40,7 +28,7 @@ let durable_gets scale =
   let rng = Random.State.make [| 14 |] in
   let page = String.init 65536 (fun _ -> Char.chr (Random.State.int rng 256)) in
   let value = String.make 128 'v' in
-  with_temp_dir @@ fun dir ->
+  U.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let (_ : Cid.t) = Db.put db ~key:"value" (Db.str value) in
@@ -95,7 +83,7 @@ let durability scale =
     ~value:(float_of_int n /. elapsed) ~unit:"ops/s";
   List.iter
     (fun (label, metric_name, journal_sync_every) ->
-      with_temp_dir @@ fun dir ->
+      U.with_temp_dir @@ fun dir ->
       let p = Persist.open_db ~journal_sync_every dir in
       let elapsed, () = U.time_it (fun () -> fill (Persist.db p) n) in
       U.row [ label; Printf.sprintf "%.0f" (float_of_int n /. elapsed) ];
@@ -110,21 +98,21 @@ let durability scale =
   durable_gets scale;
 
   U.section "Recovery time (reopen + journal replay)";
-  with_temp_dir @@ fun dir ->
+  U.with_temp_dir @@ fun dir ->
   let p = Persist.open_db ~journal_sync_every:64 dir in
   fill (Persist.db p) n;
   Persist.close p;
-  U.row_header [ "journal"; "size"; "reopen" ];
+  U.row_header [ "journal"; "entry bytes"; "reopen" ];
   let t_replay, p2 = U.time_it (fun () -> Persist.open_db dir) in
   U.row
     [
       Printf.sprintf "%d entries" n;
-      U.human_bytes (Persist.journal_size p2);
+      U.human_bytes (Persist.journal_bytes p2);
       U.ms t_replay ^ "ms";
     ];
   Bench_json.metric ~name:"reopen_replay" ~value:(t_replay *. 1000.) ~unit:"ms";
   Bench_json.metric ~name:"journal_bytes"
-    ~value:(float_of_int (Persist.journal_size p2))
+    ~value:(float_of_int (Persist.journal_bytes p2))
     ~unit:"bytes";
   Persist.checkpoint p2;
   Persist.close p2;
@@ -132,7 +120,7 @@ let durability scale =
   U.row
     [
       "checkpointed";
-      U.human_bytes (Persist.journal_size p3);
+      U.human_bytes (Persist.journal_bytes p3);
       U.ms t_ckpt ^ "ms";
     ];
   Bench_json.metric ~name:"reopen_after_checkpoint" ~value:(t_ckpt *. 1000.)
@@ -146,7 +134,7 @@ let durability scale =
     ()
   done;
   let garbage_chunks, garbage_bytes = Persist.garbage_stats p3 in
-  let log_before = Persist.chunk_log_size p3 in
+  let log_before = Persist.log_size p3 in
   let t_compact, (reclaimed_chunks, reclaimed_bytes) =
     U.time_it (fun () -> Persist.compact p3)
   in
@@ -157,7 +145,7 @@ let durability scale =
       Printf.sprintf "%d chunks (%s)" garbage_chunks (U.human_bytes garbage_bytes);
       Printf.sprintf "%d chunks (%s)" reclaimed_chunks (U.human_bytes reclaimed_bytes);
       U.human_bytes log_before;
-      U.human_bytes (Persist.chunk_log_size p3);
+      U.human_bytes (Persist.log_size p3);
       U.ms t_compact ^ "ms";
     ];
   Bench_json.metric ~name:"compact_time" ~value:(t_compact *. 1000.) ~unit:"ms";

@@ -6,58 +6,13 @@
 module Server = Fbremote.Server
 module Client = Fbremote.Client
 module Wire = Fbremote.Wire
-module Persist = Fbpersist.Persist
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbbench-remote-%d-%d" (Unix.getpid ())
-         (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
+module Procs = Fbremote.Procs
 
 let spawn_server () =
-  let listen_fd = Server.listen ~backlog:64 ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
+  Procs.spawn (fun listen_fd ->
       let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
-      (try ignore (Server.serve db listen_fd : Server.counters) with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
-
-(* A server over a durable store with per-op journal fsyncs, optionally
-   batching them via the event loop's group commit.  Either way every
-   acknowledged put is power-loss durable before its ack leaves. *)
-let spawn_durable_server ~dir ~group_commit () =
-  let listen_fd = Server.listen ~backlog:64 ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
-      let p = Persist.open_db ~journal_sync_every:1 dir in
-      let gc =
-        if group_commit then begin
-          Persist.set_deferred_sync p true;
-          Some (fun () -> Persist.sync p)
-        end
-        else None
-      in
-      (try
-         ignore (Server.serve ?group_commit:gc (Persist.db p) listen_fd
-                 : Server.counters)
-       with _ -> ());
-      (try Persist.close p with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
+      ignore (Server.serve db listen_fd : Server.counters))
 
 (* One client process: [ops] round trips, alternating put and get. *)
 let client_loop ~port ~id ~ops ~value_size =
@@ -73,7 +28,8 @@ let client_loop ~port ~id ~ops ~value_size =
   Client.close c
 
 let run_experiment ~clients ~total_ops ~value_size =
-  let port, server_pid = spawn_server () in
+  let server = spawn_server () in
+  let port = Procs.port server in
   let ops = total_ops / clients in
   let elapsed, () =
     Bench_util.time_it (fun () ->
@@ -92,17 +48,18 @@ let run_experiment ~clients ~total_ops ~value_size =
   let stats = Client.stats c in
   Client.quit_server c;
   Client.close c;
-  ignore (Unix.waitpid [] server_pid);
+  Procs.reap server;
   let done_ops = clients * (ops / 2) * 2 in
   (float_of_int done_ops /. elapsed, stats)
 
-(* Durable-write throughput: [clients] concurrent writers, every put
-   journaled and fsynced before its ack.  Compares per-op fsync against
-   group commit (one fsync per event-loop round, shared by the round's
-   writers). *)
+(* Durable-write throughput: [clients] concurrent writers against a
+   primary over a durable store, every put journaled and fsynced before
+   its ack.  Compares per-op fsync against group commit (one fsync per
+   event-loop round, shared by the round's writers). *)
 let run_durable ~clients ~total_ops ~value_size ~group_commit =
-  with_temp_dir @@ fun dir ->
-  let port, server_pid = spawn_durable_server ~dir ~group_commit () in
+  Bench_util.with_temp_dir @@ fun dir ->
+  let server = Fbreplica.Proc.spawn_primary ~group_commit ~dir () in
+  let port = Procs.port server in
   let ops = total_ops / clients in
   let elapsed, () =
     Bench_util.time_it (fun () ->
@@ -131,7 +88,7 @@ let run_durable ~clients ~total_ops ~value_size ~group_commit =
   let stats = Client.stats c in
   Client.quit_server c;
   Client.close c;
-  ignore (Unix.waitpid [] server_pid);
+  Procs.reap server;
   (float_of_int (clients * ops) /. elapsed, stats)
 
 let remote scale =

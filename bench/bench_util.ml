@@ -50,6 +50,30 @@ let sorted_of_list l =
   Array.sort Float.compare a;
   a
 
+(* --- scratch directories --- *)
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let temp_counter = ref 0
+
+(* A fresh directory for [f], removed afterwards with everything in it;
+   pid + counter names never collide within or across bench processes. *)
+let with_temp_dir f =
+  incr temp_counter;
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "fbbench-%d-%d" (Unix.getpid ()) !temp_counter)
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 (* --- output formatting --- *)
 
 let section title =

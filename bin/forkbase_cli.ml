@@ -1,15 +1,16 @@
 (* forkbase — a command-line client for a durable, file-backed ForkBase
-   store (lib/persist): an append-only chunk log plus a write-ahead branch
-   journal in FORKBASE_DIR (default ./forkbase-data), so the CLI is
-   stateless and crash-safe across invocations.
+   store (lib/persist): one append-only log of chunks and write-ahead
+   branch-journal entries in FORKBASE_DIR (default ./forkbase-data), so
+   the CLI is stateless and crash-safe across invocations.  The client
+   commands that take --via run against a sharded cluster instead.
 
-     forkbase put  <key> <value> [--branch b]
-     forkbase get  <key> [--branch b]
-     forkbase fork <key> <from> <new>
-     forkbase branches <key>
+     forkbase put  <key> <value> [--branch b] [--blob] [--via HOST:PORT]
+     forkbase get  <key> [--branch b] [--via HOST:PORT]
+     forkbase fork <key> <from> <new> [--via HOST:PORT]
+     forkbase branches <key> [--via HOST:PORT]
      forkbase log  <key> [--branch b]
-     forkbase merge <key> <target> <ref-branch> [--resolver r]
-     forkbase keys
+     forkbase merge <key> <target> <ref-branch> [--resolver r] [--via HOST:PORT]
+     forkbase keys [--via HOST:PORT]
      forkbase verify <key> [--branch b]
      forkbase fsck
      forkbase stats
@@ -18,14 +19,16 @@
      forkbase follow --of HOST:PORT [--port p]
      forkbase replication-status [--of HOST:PORT] [--port p]
      forkbase shard --index i --map HOST:PORT,... [--port p]
-     forkbase dispatch (put|get|fork|merge|keys|branches) --via HOST:PORT ...
      forkbase cluster-status --via HOST:PORT
      forkbase cluster-add HOST:PORT --via HOST:PORT *)
 
 module Db = Forkbase.Db
 module Persist = Fbpersist.Persist
-module Value = Fbtypes.Value
 module Cid = Fbchunk.Cid
+module Wire = Fbremote.Wire
+module Shard = Fbshard.Shard
+module Shard_map = Fbshard.Shard_map
+module Dispatch = Fbshard.Dispatch
 
 let data_dir () =
   match Sys.getenv_opt "FORKBASE_DIR" with
@@ -71,15 +74,64 @@ let or_die = function
       Printf.eprintf "error: %s\n" (Db.error_to_string e);
       exit 1
 
+(* One printer for local and routed reads: a Blob's bytes go out as
+   stored, with no trailing newline. *)
 let print_value = function
-  | Value.Prim p -> print_endline (Fbtypes.Prim.to_string p)
-  | Value.Blob b -> print_string (Fbtypes.Fblob.to_string b)
-  | Value.List l -> List.iter print_endline (Fbtypes.Flist.to_list l)
-  | Value.Map m ->
-      Fbtypes.Fmap.iter (fun k v -> Printf.printf "%s\t%s\n" k v) m
-  | Value.Set s -> List.iter print_endline (Fbtypes.Fset.elements s)
+  | Wire.Str s -> print_endline s
+  | Wire.Blob b -> print_string b
+  | Wire.List l | Wire.Set l -> List.iter print_endline l
+  | Wire.Map m -> List.iter (fun (k, v) -> Printf.printf "%s\t%s\n" k v) m
+
+let parse_host_port s =
+  match String.rindex_opt s ':' with
+  | Some i -> (
+      let host = String.sub s 0 i in
+      let port = String.sub s (i + 1) (String.length s - i - 1) in
+      match int_of_string_opt port with
+      | Some port when host <> "" -> (host, port)
+      | _ ->
+          Printf.eprintf "error: expected HOST:PORT, got %S\n" s;
+          exit 2)
+  | None ->
+      Printf.eprintf "error: expected HOST:PORT, got %S\n" s;
+      exit 2
+
+let with_dispatcher via f =
+  let host, port = parse_host_port via in
+  match
+    let d = Dispatch.connect ~host ~port () in
+    Fun.protect ~finally:(fun () -> Dispatch.close d) (fun () -> f d)
+  with
+  | v -> v
+  | exception
+      (Dispatch.Unroutable reason | Fbremote.Client.Remote_failure reason) ->
+      Printf.eprintf "error: %s\n" reason;
+      exit 1
+
+(* A client command runs against the local store in FORKBASE_DIR, or, with
+   --via, through a dispatcher that routes it to the key's home shard. *)
+let routed via ~local ~remote =
+  match via with None -> with_db local | Some via -> with_dispatcher via remote
 
 open Cmdliner
+
+let via_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "via" ] ~docv:"HOST:PORT"
+        ~doc:
+          "Route through a dispatcher instead of opening the local store: \
+           any live shard's partition map bootstraps it, and it sends the \
+           operation to the key's home shard.")
+
+let seed_shard_arg =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "via" ] ~docv:"HOST:PORT"
+        ~doc:
+          "Any live shard; its partition map bootstraps the dispatcher.")
 
 let branch_arg =
   Arg.(value & opt string Db.default_branch & info [ "b"; "branch" ] ~docv:"BRANCH")
@@ -87,11 +139,15 @@ let branch_arg =
 let key_pos = Arg.(required & pos 0 (some string) None & info [] ~docv:"KEY")
 
 let put_cmd =
-  let run branch key value as_blob context =
-    with_db @@ fun db ->
+  let run via branch key value as_blob context =
     let uid =
-      if as_blob then Db.put_blob ~branch ~context db ~key value
-      else Db.put ~branch ~context db ~key (Db.str value)
+      routed via
+        ~local:(fun db ->
+          if as_blob then Db.put_blob ~branch ~context db ~key value
+          else Db.put ~branch ~context db ~key (Db.str value))
+        ~remote:(fun d ->
+          Dispatch.put ~branch ~context d ~key
+            (if as_blob then Wire.Blob value else Wire.Str value))
     in
     Printf.printf "%s\n" (Cid.to_hex uid)
   in
@@ -99,32 +155,42 @@ let put_cmd =
   let blob_flag = Arg.(value & flag & info [ "blob" ] ~doc:"Store as a chunked Blob.") in
   let context_arg = Arg.(value & opt string "" & info [ "m"; "message" ] ~docv:"MSG") in
   Cmd.v (Cmd.info "put" ~doc:"write a value to a branch head")
-    Term.(const run $ branch_arg $ key_pos $ value_pos $ blob_flag $ context_arg)
+    Term.(const run $ via_arg $ branch_arg $ key_pos $ value_pos $ blob_flag
+          $ context_arg)
 
 let get_cmd =
-  let run branch key =
-    with_db @@ fun db -> print_value (or_die (Db.get ~branch db ~key))
+  let run via branch key =
+    print_value
+      (routed via
+         ~local:(fun db ->
+           Fbremote.Server.to_wire_value (or_die (Db.get ~branch db ~key)))
+         ~remote:(fun d -> Dispatch.get ~branch d ~key))
   in
-  Cmd.v (Cmd.info "get" ~doc:"read a branch head") Term.(const run $ branch_arg $ key_pos)
+  Cmd.v (Cmd.info "get" ~doc:"read a branch head")
+    Term.(const run $ via_arg $ branch_arg $ key_pos)
 
 let fork_cmd =
-  let run key from_branch new_branch =
-    with_db @@ fun db ->
-    or_die (Db.fork db ~key ~from_branch ~new_branch);
+  let run via key from_branch new_branch =
+    routed via
+      ~local:(fun db -> or_die (Db.fork db ~key ~from_branch ~new_branch))
+      ~remote:(fun d -> Dispatch.fork d ~key ~from_branch ~new_branch);
     Printf.printf "forked %s: %s -> %s\n" key from_branch new_branch
   in
   let from_pos = Arg.(required & pos 1 (some string) None & info [] ~docv:"FROM") in
   let new_pos = Arg.(required & pos 2 (some string) None & info [] ~docv:"NEW") in
-  Cmd.v (Cmd.info "fork" ~doc:"fork a new branch") Term.(const run $ key_pos $ from_pos $ new_pos)
+  Cmd.v (Cmd.info "fork" ~doc:"fork a new branch")
+    Term.(const run $ via_arg $ key_pos $ from_pos $ new_pos)
 
 let branches_cmd =
-  let run key =
-    with_db @@ fun db ->
+  let run via key =
     List.iter
       (fun (name, uid) -> Printf.printf "%s\t%s\n" name (Cid.to_hex uid))
-      (Db.list_tagged_branches db ~key)
+      (routed via
+         ~local:(fun db -> Db.list_tagged_branches db ~key)
+         ~remote:(fun d -> Dispatch.list_branches d ~key))
   in
-  Cmd.v (Cmd.info "branches" ~doc:"list tagged branches of a key") Term.(const run $ key_pos)
+  Cmd.v (Cmd.info "branches" ~doc:"list tagged branches of a key")
+    Term.(const run $ via_arg $ key_pos)
 
 let log_cmd =
   let run branch key =
@@ -142,16 +208,21 @@ let log_cmd =
     Term.(const run $ branch_arg $ key_pos)
 
 let merge_cmd =
-  let run key target ref_branch resolver =
-    with_db @@ fun db ->
+  let run via key target ref_branch resolver_name =
     let resolver =
-      match Fbremote.Server.resolver_of_string resolver with
+      match Fbremote.Server.resolver_of_string resolver_name with
       | Ok r -> r
       | Error e ->
           prerr_endline e;
           exit 2
     in
-    let uid = or_die (Db.merge ~resolver db ~key ~target ~ref_:(`Branch ref_branch)) in
+    let uid =
+      routed via
+        ~local:(fun db ->
+          or_die (Db.merge ~resolver db ~key ~target ~ref_:(`Branch ref_branch)))
+        ~remote:(fun d ->
+          Dispatch.merge ~resolver:resolver_name d ~key ~target ~ref_branch)
+    in
     Printf.printf "merged -> %s\n" (Cid.to_hex uid)
   in
   let target_pos = Arg.(required & pos 1 (some string) None & info [] ~docv:"TARGET") in
@@ -161,11 +232,14 @@ let merge_cmd =
            ~doc:"manual|left|right|append|aggregate")
   in
   Cmd.v (Cmd.info "merge" ~doc:"three-way merge REF into TARGET")
-    Term.(const run $ key_pos $ target_pos $ ref_pos $ resolver_arg)
+    Term.(const run $ via_arg $ key_pos $ target_pos $ ref_pos $ resolver_arg)
 
 let keys_cmd =
-  let run () = with_db @@ fun db -> List.iter print_endline (Db.list_keys db) in
-  Cmd.v (Cmd.info "keys" ~doc:"list all keys") Term.(const run $ const ())
+  let run via =
+    List.iter print_endline
+      (routed via ~local:Db.list_keys ~remote:Dispatch.list_keys)
+  in
+  Cmd.v (Cmd.info "keys" ~doc:"list all keys") Term.(const run $ via_arg)
 
 let verify_cmd =
   let run branch key =
@@ -327,8 +401,8 @@ let stats_cmd =
         let garbage_chunks, garbage_bytes = Persist.garbage_stats p in
         Format.printf "garbage: %d chunks, %d bytes (run 'forkbase gc')@."
           garbage_chunks garbage_bytes;
-        Format.printf "files: chunk log %d bytes, branch journal %d bytes@."
-          (Persist.chunk_log_size p) (Persist.journal_size p);
+        Format.printf "log: %d bytes, of which journal entries %d bytes@."
+          (Persist.log_size p) (Persist.journal_bytes p);
         Format.printf "journal seq: %d@." (Persist.journal_seq p)
   in
   let port_arg =
@@ -367,20 +441,6 @@ let gc_cmd =
           a branch head into a fresh log, atomically swap it in, and \
           report what was reclaimed")
     Term.(const run $ dry_run_flag)
-
-let parse_host_port s =
-  match String.rindex_opt s ':' with
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some port when host <> "" -> (host, port)
-      | _ ->
-          Printf.eprintf "error: expected HOST:PORT, got %S\n" s;
-          exit 2)
-  | None ->
-      Printf.eprintf "error: expected HOST:PORT, got %S\n" s;
-      exit 2
 
 let of_arg =
   Arg.(
@@ -537,10 +597,6 @@ let lint_cmd =
 
 (* --- sharded serving: shard processes, dispatcher client, rebalance --- *)
 
-module Shard = Fbshard.Shard
-module Shard_map = Fbshard.Shard_map
-module Dispatch = Fbshard.Dispatch
-
 let die_bad_map f =
   match f () with
   | v -> v
@@ -620,115 +676,6 @@ let shard_cmd =
           itself is served, installed, and persisted as a versioned artifact")
     Term.(const run $ index_arg $ map_arg $ port_arg $ no_group_commit_arg)
 
-let via_arg =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "via" ] ~docv:"HOST:PORT"
-        ~doc:
-          "Any live shard; its partition map bootstraps the dispatcher, \
-           which then routes by key.")
-
-let with_dispatcher via f =
-  let host, port = parse_host_port via in
-  match Dispatch.connect ~host ~port () with
-  | exception Dispatch.Unroutable reason ->
-      Printf.eprintf "error: %s\n" reason;
-      exit 1
-  | d -> Fun.protect ~finally:(fun () -> Dispatch.close d) (fun () -> f d)
-
-let dispatch_cmd =
-  let put =
-    let run via branch key value context =
-      with_dispatcher via @@ fun d ->
-      let uid = Dispatch.put ~branch ~context d ~key (Fbremote.Wire.Str value) in
-      Printf.printf "%s\n" (Cid.to_hex uid)
-    in
-    let value_pos =
-      Arg.(required & pos 1 (some string) None & info [] ~docv:"VALUE")
-    in
-    let context_arg =
-      Arg.(value & opt string "" & info [ "m"; "message" ] ~docv:"MSG")
-    in
-    Cmd.v
-      (Cmd.info "put" ~doc:"write through the dispatcher to the key's shard")
-      Term.(const run $ via_arg $ branch_arg $ key_pos $ value_pos $ context_arg)
-  in
-  let get =
-    let run via branch key =
-      with_dispatcher via @@ fun d ->
-      match Dispatch.get ~branch d ~key with
-      | Fbremote.Wire.Str s | Fbremote.Wire.Blob s -> print_endline s
-      | Fbremote.Wire.List l -> List.iter print_endline l
-      | Fbremote.Wire.Map m ->
-          List.iter (fun (k, v) -> Printf.printf "%s\t%s\n" k v) m
-      | Fbremote.Wire.Set s -> List.iter print_endline s
-    in
-    Cmd.v (Cmd.info "get" ~doc:"read through the dispatcher")
-      Term.(const run $ via_arg $ branch_arg $ key_pos)
-  in
-  let fork =
-    let run via key from_branch new_branch =
-      with_dispatcher via @@ fun d ->
-      Dispatch.fork d ~key ~from_branch ~new_branch;
-      Printf.printf "forked %s: %s -> %s\n" key from_branch new_branch
-    in
-    let from_pos =
-      Arg.(required & pos 1 (some string) None & info [] ~docv:"FROM")
-    in
-    let new_pos =
-      Arg.(required & pos 2 (some string) None & info [] ~docv:"NEW")
-    in
-    Cmd.v (Cmd.info "fork" ~doc:"fork a branch on the key's shard")
-      Term.(const run $ via_arg $ key_pos $ from_pos $ new_pos)
-  in
-  let merge =
-    let run via key target ref_branch resolver =
-      with_dispatcher via @@ fun d ->
-      let uid = Dispatch.merge ~resolver d ~key ~target ~ref_branch in
-      Printf.printf "merged -> %s\n" (Cid.to_hex uid)
-    in
-    let target_pos =
-      Arg.(required & pos 1 (some string) None & info [] ~docv:"TARGET")
-    in
-    let ref_pos =
-      Arg.(required & pos 2 (some string) None & info [] ~docv:"REF")
-    in
-    let resolver_arg =
-      Arg.(
-        value & opt string "manual"
-        & info [ "resolver" ] ~docv:"RESOLVER"
-            ~doc:"manual|left|right|append|aggregate")
-    in
-    Cmd.v (Cmd.info "merge" ~doc:"three-way merge on the key's shard")
-      Term.(const run $ via_arg $ key_pos $ target_pos $ ref_pos $ resolver_arg)
-  in
-  let keys =
-    let run via =
-      with_dispatcher via @@ fun d ->
-      List.iter print_endline (Dispatch.list_keys d)
-    in
-    Cmd.v (Cmd.info "keys" ~doc:"list keys across every shard")
-      Term.(const run $ via_arg)
-  in
-  let branches =
-    let run via key =
-      with_dispatcher via @@ fun d ->
-      List.iter
-        (fun (name, uid) -> Printf.printf "%s\t%s\n" name (Cid.to_hex uid))
-        (Dispatch.list_branches d ~key)
-    in
-    Cmd.v (Cmd.info "branches" ~doc:"list a key's branches on its shard")
-      Term.(const run $ via_arg $ key_pos)
-  in
-  Cmd.group
-    (Cmd.info "dispatch"
-       ~doc:
-         "client operations routed through a map-caching dispatcher: each \
-          op lands on its key's home shard, stale maps self-heal via \
-          redirects, and rebalance fences are ridden out with retries")
-    [ put; get; fork; merge; keys; branches ]
-
 let cluster_status_cmd =
   let run via =
     with_dispatcher via @@ fun d ->
@@ -751,7 +698,7 @@ let cluster_status_cmd =
        ~doc:
          "show the partition map (version, addresses, any rebalance fence) \
           and every shard's stats")
-    Term.(const run $ via_arg)
+    Term.(const run $ seed_shard_arg)
 
 let cluster_add_cmd =
   let run via addr =
@@ -785,7 +732,7 @@ let cluster_add_cmd =
           every shard, copy their branches and chunk closures to the new \
           owner, then lift the fence — writers only ever see bounded \
           redirect/retry windows, never a lost acknowledged write")
-    Term.(const run $ via_arg $ addr_pos)
+    Term.(const run $ seed_shard_arg $ addr_pos)
 
 let soak_cmd =
   let run profile seconds ops seed quiet shards =
@@ -909,6 +856,6 @@ let () =
             put_cmd; get_cmd; fork_cmd; branches_cmd; log_cmd; merge_cmd;
             keys_cmd; verify_cmd; fsck_cmd; lint_cmd; stats_cmd;
             gc_cmd; serve_cmd; follow_cmd;
-            replication_status_cmd; soak_cmd; shard_cmd; dispatch_cmd;
+            replication_status_cmd; soak_cmd; shard_cmd;
             cluster_status_cmd; cluster_add_cmd;
           ]))

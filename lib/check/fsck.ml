@@ -764,7 +764,7 @@ let check_db db =
   report_of ctx
 
 let check_dir ?cfg dir =
-  match Persist.open_db ?cfg ~sync_every:0 dir with
+  match Persist.open_db ?cfg dir with
   | exception Persist.Corrupt_db c ->
       let v =
         match c with
@@ -776,14 +776,11 @@ let check_dir ?cfg dir =
                 uid;
                 reason = "recovered head missing from chunk store";
               }
-        | Persist.Bad_journal { path; reason } ->
-            Bad_store { reason = Printf.sprintf "journal %s: %s" path reason }
-        | Persist.Bad_chunk_log { path; off; reason } ->
+        | Persist.Bad_log { path; off; reason } ->
             Bad_store
               {
                 reason =
-                  Printf.sprintf "chunk log %s at offset %d: %s" path off
-                    reason;
+                  Printf.sprintf "log %s at offset %d: %s" path off reason;
               }
       in
       { keys = 0; versions = 0; trees = 0; chunks = 0; violations = [ v ] }

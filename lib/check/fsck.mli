@@ -51,7 +51,7 @@ type violation =
       reason : string;
     }  (** a branch head that does not resolve (from {!check_dir}) *)
   | Bad_store of { reason : string }
-      (** the store itself refuses to open (corrupt journal / chunk log) *)
+      (** the store itself refuses to open (a corrupt log record) *)
 
 type report = {
   keys : int;  (** object keys walked *)

@@ -1,92 +1,108 @@
 (* [cached] holds the decoded chunk while it is resident in the read
    cache.  Chunks are immutable and content-addressed, so a resident copy
    can never go stale. *)
-type entry = { off : int; len : int; mutable cached : Chunk.t option }
+type slot = { off : int; len : int; mutable cached : Chunk.t option }
 
 let cache_budget = 32 * 1024 * 1024
+let entry_tag = 'J'
+let entry_prefix = String.make 1 entry_tag
 
 type t = {
   file : string;
   oc : out_channel;
   ic : in_channel;
-  index : entry Cid.Tbl.t;
-  resident : entry Queue.t; (* cached entries, oldest insertion first *)
+  index : slot Cid.Tbl.t;
+  resident : slot Queue.t; (* cached slots, oldest insertion first *)
   mutable cached_bytes : int; (* sum of [len] over [resident] *)
   stats : Chunk_store.stats;
-  sync_every : int;
-  mutable unsynced : int;
+  mutable entry_bytes : int;
   mutable tail : int; (* logical end of log *)
 }
-
-(* Read one varint from [ic]; None at clean EOF.  Bounded like
-   {!Fbutil.Codec.read_varint}: a header whose continuation bits run past
-   shift 56, or that decodes negative, cannot be a record length — without
-   the bound a corrupt header can decode to a negative length that slips
-   past the torn-tail guard and crashes [Bytes.create] with
-   [Invalid_argument] instead of reporting corruption. *)
-let read_varint_opt ic =
-  match input_char ic with
-  | exception End_of_file -> None
-  | c0 ->
-      let rec loop shift acc b =
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 = 0 then
-          if acc < 0 then
-            raise (Fbutil.Codec.Corrupt "negative varint length")
-          else acc
-        else if shift >= 56 then
-          raise (Fbutil.Codec.Corrupt "varint length too long")
-        else loop (shift + 7) acc (Char.code (input_char ic))
-      in
-      Some (loop 0 0 (Char.code c0))
 
 exception
   Corrupt_log of { file : string; off : int; reason : string }
 
-let replay t =
-  seek_in t.ic 0;
-  let file_len = in_channel_length t.ic in
-  let continue = ref true in
-  while !continue do
-    let record_start = pos_in t.ic in
-    let torn () =
-      t.tail <- record_start;
-      continue := false
-    in
-    match read_varint_opt t.ic with
-    | None -> torn ()
-    | exception End_of_file -> torn () (* tail torn mid-header *)
-    | exception Fbutil.Codec.Corrupt reason ->
-        (* A complete-but-implausible header is bit rot, not a torn tail:
-           fail loudly like a rotten record body. *)
-        raise (Corrupt_log { file = t.file; off = record_start; reason })
-    | Some len ->
-        (* A length overrunning the file is a torn tail; detecting it here
-           keeps a corrupt varint from forcing a giant allocation. *)
-        if len > file_len - pos_in t.ic then torn ()
-        else begin
-          let body = Bytes.create len in
-          really_input t.ic body 0 len;
-          match Chunk.decode (Bytes.unsafe_to_string body) with
-          | exception Fbutil.Codec.Corrupt reason ->
-              (* length-complete record with a rotten body: unlike a torn
-                 tail this is data loss mid-log, so fail loudly and name
-                 the spot instead of silently dropping the record (and
-                 everything after it). *)
-              raise (Corrupt_log { file = t.file; off = record_start; reason })
-          | chunk ->
-              let cid = Chunk.cid chunk in
-              let data_off = pos_in t.ic - len in
-              if not (Cid.Tbl.mem t.index cid) then begin
-                t.stats.chunks <- t.stats.chunks + 1;
-                t.stats.bytes <- t.stats.bytes + len
-              end;
-              Cid.Tbl.replace t.index cid { off = data_off; len; cached = None };
-              t.tail <- pos_in t.ic
-        end
-  done
+(* Read one record length; None at EOF, including EOF inside the header
+   (a torn tail).  Bounded like {!Fbutil.Codec.read_varint}: a header
+   whose continuation bits run past shift 56, or that decodes negative,
+   cannot be a record length — without the bound a corrupt header can
+   decode to a negative length that slips past the torn-tail guard and
+   crashes [Bytes.create] with [Invalid_argument] instead of reporting
+   corruption. *)
+let read_length ic =
+  let rec loop shift acc =
+    match input_char ic with
+    | exception End_of_file -> None
+    | c ->
+        let b = Char.code c in
+        let acc = acc lor ((b land 0x7f) lsl shift) in
+        if b land 0x80 = 0 then
+          if acc < 0 then raise (Fbutil.Codec.Corrupt "negative record length")
+          else Some acc
+        else if shift >= 56 then
+          raise (Fbutil.Codec.Corrupt "record length varint too long")
+        else loop (shift + 7) acc
+  in
+  loop 0 0
 
-let open_ ?(sync_every = 512) file =
+(* The one framed-record reader.  Calls [f ~off ~data body] for every
+   complete record of [ic] from offset 0 ([off]: record start, [data]:
+   body start) and returns the offset just past the last complete one —
+   the torn-tail truncation point.  A length overrunning the file is a
+   torn tail; checking before reading also keeps a corrupt (huge) length
+   from forcing a giant allocation.  An implausible header, or a body [f]
+   rejects, is bit rot mid-log: fail loudly and name the spot instead of
+   silently dropping the record and everything after it. *)
+let fold_records ~file ic f =
+  seek_in ic 0;
+  let file_len = in_channel_length ic in
+  let rec go () =
+    let off = pos_in ic in
+    match read_length ic with
+    | exception Fbutil.Codec.Corrupt reason ->
+        raise (Corrupt_log { file; off; reason })
+    | None -> off
+    | Some len when len > file_len - pos_in ic -> off
+    | Some len ->
+        let data = pos_in ic in
+        let body = really_input_string ic len in
+        (try f ~off ~data body
+         with Fbutil.Codec.Corrupt reason ->
+           raise (Corrupt_log { file; off; reason }));
+        go ()
+  in
+  go ()
+
+let records path =
+  In_channel.with_open_bin path @@ fun ic ->
+  let acc = ref [] in
+  let (_ : int) =
+    fold_records ~file:path ic (fun ~off ~data:_ body ->
+        acc := (off, body) :: !acc)
+  in
+  List.rev !acc
+
+let payload body = String.sub body 1 (String.length body - 1)
+
+let replay t on_entry =
+  t.tail <-
+    fold_records ~file:t.file t.ic (fun ~off ~data body ->
+        let len = String.length body in
+        if String.starts_with ~prefix:entry_prefix body then begin
+          on_entry off (payload body);
+          t.entry_bytes <- t.entry_bytes + data + len - off
+        end
+        else begin
+          let (_ : Chunk.t) = Chunk.decode body in
+          let cid = Cid.digest body in
+          if not (Cid.Tbl.mem t.index cid) then begin
+            t.stats.chunks <- t.stats.chunks + 1;
+            t.stats.bytes <- t.stats.bytes + len
+          end;
+          Cid.Tbl.replace t.index cid { off = data; len; cached = None }
+        end)
+
+let open_ ?(on_entry = fun _ _ -> ()) file =
   (* Ensure the file exists before opening the read side. *)
   let oc0 = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 file in
   close_out oc0;
@@ -100,12 +116,11 @@ let open_ ?(sync_every = 512) file =
       resident = Queue.create ();
       cached_bytes = 0;
       stats = Chunk_store.fresh_stats ();
-      sync_every;
-      unsynced = 0;
+      entry_bytes = 0;
       tail = 0;
     }
   in
-  (try replay t
+  (try replay t on_entry
    with e ->
      close_in ic;
      raise e);
@@ -126,12 +141,9 @@ let flush t = Stdlib.flush t.oc
    [flush] alone survives a process crash; [sync] also survives power loss. *)
 let sync t =
   Stdlib.flush t.oc;
-  Unix.fsync (Unix.descr_of_out_channel t.oc);
-  t.unsynced <- 0
+  Unix.fsync (Unix.descr_of_out_channel t.oc)
 
 let close t =
-  (* fsync unconditionally: a closed log must be durable no matter what
-     [sync_every] batching was in effect while it was open. *)
   sync t;
   close_out t.oc;
   close_in t.ic
@@ -147,6 +159,7 @@ let crash t =
 
 let path t = t.file
 let file_size t = t.tail
+let entry_bytes t = t.entry_bytes
 let cached_bytes t = t.cached_bytes
 
 (* Make [e]'s chunk resident, evicting the oldest insertions until it fits
@@ -163,6 +176,34 @@ let cache t e chunk =
     Queue.push e t.resident
   end
 
+(* Frame [body] at the end of the log (buffered); returns the record's
+   offset. *)
+let append t body =
+  let off = t.tail in
+  let header = Buffer.create 4 in
+  Fbutil.Codec.varint header (String.length body);
+  Buffer.output_buffer t.oc header;
+  output_string t.oc body;
+  t.tail <- off + Buffer.length header + String.length body;
+  off
+
+let append_entry t payload =
+  let off = append t (entry_prefix ^ payload) in
+  t.entry_bytes <- t.entry_bytes + t.tail - off;
+  off
+
+let read_entry t off =
+  (* The write channel may still buffer the record. *)
+  Stdlib.flush t.oc;
+  seek_in t.ic off;
+  let body =
+    match read_length t.ic with
+    | Some len -> really_input_string t.ic len
+    | None -> ""
+  in
+  if String.starts_with ~prefix:entry_prefix body then payload body
+  else raise (Corrupt_log { file = t.file; off; reason = "not an entry record" })
+
 let put t chunk =
   let cid = Chunk.cid chunk in
   t.stats.puts <- t.stats.puts + 1;
@@ -170,19 +211,12 @@ let put t chunk =
    else begin
      let encoded = Chunk.encode chunk in
      let len = String.length encoded in
-     let header = Buffer.create 4 in
-     Fbutil.Codec.varint header len;
-     let data_off = t.tail + Buffer.length header in
-     Buffer.output_buffer t.oc header;
-     output_string t.oc encoded;
-     t.tail <- data_off + len;
-     let e = { off = data_off; len; cached = None } in
+     let (_ : int) = append t encoded in
+     let e = { off = t.tail - len; len; cached = None } in
      Cid.Tbl.replace t.index cid e;
      cache t e chunk;
      t.stats.chunks <- t.stats.chunks + 1;
-     t.stats.bytes <- t.stats.bytes + len;
-     t.unsynced <- t.unsynced + 1;
-     if t.sync_every > 0 && t.unsynced >= t.sync_every then sync t
+     t.stats.bytes <- t.stats.bytes + len
    end);
   cid
 

@@ -1,12 +1,15 @@
-(** Persistent chunk storage: an append-only log file plus an in-memory
-    cid → offset index (§4.4).  Immutable chunks make a log-structured
-    layout natural and give fast retrieval of consecutively generated
-    POS-Tree chunks.
+(** Persistent storage: one append-only log file of framed records plus an
+    in-memory cid → offset index for its chunks (§4.4).  Immutable chunks
+    make a log-structured layout natural and give fast retrieval of
+    consecutively generated POS-Tree chunks.
 
-    The file format is a sequence of records, each a varint length followed
-    by the serialized chunk.  Opening an existing file replays the log to
-    rebuild the index, skipping a trailing torn record if the process died
-    mid-append.
+    The file is a sequence of records, each a varint length followed by a
+    body.  A body whose first byte is a chunk tag is a serialized chunk; a
+    body whose first byte is {!entry_tag} is an {e entry}, an opaque
+    payload the layer above owns (lib/persist keeps its branch-table
+    journal entries there).  Opening an existing file replays the log to
+    rebuild the index, truncating a trailing torn record if the process
+    died mid-append.
 
     Reads are served from a bounded in-memory copy of the chunks most
     recently appended or read ({!cache_budget} bytes, FIFO by insertion)
@@ -24,18 +27,29 @@ exception
 (** A length-complete record at byte [off] whose body does not decode —
     bit rot, as opposed to a torn tail (which is silently dropped). *)
 
-val open_ : ?sync_every:int -> string -> t
-(** [open_ path] creates or re-opens the log at [path].  [sync_every]
-    fsyncs after that many appended chunks (default 512; [0] = never).
+val entry_tag : char
+(** First body byte of an entry record ['J']; no chunk tag uses it. *)
+
+val open_ : ?on_entry:(int -> string -> unit) -> string -> t
+(** [open_ path] creates or re-opens the log at [path].  Replay calls
+    [on_entry off payload] for every complete entry record, in log order,
+    with the record's offset (what {!read_entry} takes) and its payload
+    (the body after {!entry_tag}); the default ignores entries.
 
     Replay tolerates a torn {e tail} (crash mid-append) by truncating it,
     including a tail torn mid-length-header or whose length overruns the
-    file; a complete record that fails to decode anywhere else raises
-    {!Corrupt_log} naming the file offset. *)
+    file.  A complete record that fails to decode anywhere else — a chunk
+    body, or an entry payload [on_entry] rejects with
+    {!Fbutil.Codec.Corrupt} — raises {!Corrupt_log} naming the offset. *)
+
+val records : string -> (int * string) list
+(** [(offset, body)] of every complete record in the framed file at
+    [path], oldest first, without interpreting the bodies; an incomplete
+    final record is ignored.
+    @raise Corrupt_log on an implausible length header. *)
 
 val close : t -> unit
-(** Flushes and fsyncs before closing, regardless of [sync_every]: a closed
-    log is always durable. *)
+(** Flushes and fsyncs before closing: a closed log is always durable. *)
 
 val crash : t -> unit
 (** Release the file descriptors {e without} the close-time fsync — a
@@ -44,16 +58,31 @@ val crash : t -> unit
     it; combine with an explicit truncation to model a torn tail. *)
 
 val store : t -> Chunk_store.t
-(** The generic store interface backed by this log. *)
+(** The generic store interface over this log's chunk records.  A put
+    buffers its record and never fsyncs; its stats count chunk records
+    only, never entries. *)
+
+val append_entry : t -> string -> int
+(** Append one entry record carrying [payload] (buffered, like a chunk
+    put) and return its offset.  {!flush} hands it and every chunk put
+    before it to the OS in file order. *)
+
+val read_entry : t -> int -> string
+(** The payload of the entry record at offset [off] (one returned by
+    {!append_entry} or passed to [on_entry]). *)
 
 val flush : t -> unit
 (** Push buffered appends to the OS (survives a process crash). *)
 
 val sync : t -> unit
-(** [flush] plus [fsync]: survives power loss. *)
+(** [flush] plus [fsync]: survives power loss.  The only fsync of a log
+    besides {!close}. *)
 
 val path : t -> string
 val file_size : t -> int
+
+val entry_bytes : t -> int
+(** Bytes of the log's entry records, framing included. *)
 
 val cache_budget : int
 (** Bound on the serialized bytes of chunks resident in a log's read

@@ -47,7 +47,6 @@ let blocking_heads =
     ("Wire", "read_frame"); ("Wire", "write_frame");
     ("Wire", "really_read"); ("Wire", "really_write");
     ("Log_store", "sync"); ("Log_store", "close");
-    ("Journal", "sync"); ("Journal", "close");
     ("Persist", "sync"); ("Persist", "fsync_dir");
     ("Persist", "checkpoint"); ("Persist", "close");
   ]

@@ -1,19 +1,17 @@
-(** Write-ahead journal for branch-table state.
+(** Journal entries for branch-table state.
 
-    An append-only file of codec-framed entries.  Each entry is the batch
-    of branch-table records produced by one logical database operation and
-    is committed atomically: a crash can only tear the final entry, which
-    {!open_} drops, recovering exactly the committed prefix (the same
-    torn-tail tolerance as {!Fbchunk.Log_store}).
+    An entry is the batch of branch-table records produced by one logical
+    database operation, stamped with a monotonically increasing
+    {e sequence number} assigned by the writer.  {!Persist} keeps entries
+    as entry records in its one append-only log, after the chunks they
+    refer to; this module is only their codec.
 
-    Every entry carries a monotonically increasing {e sequence number}
-    assigned by the writer.  The sequence survives checkpoint rotation
-    (the snapshot entry is stamped with the sequence of the last operation
-    it covers), which makes the journal a replicable operation log: a
-    replica that remembers the last sequence it applied can ask for
-    "everything after [seq]" and receive either the missing mutations or,
-    when they were compacted away, a checkpoint snapshot that supersedes
-    them (lib/replica). *)
+    The sequence survives checkpoints (a snapshot entry is stamped with
+    the sequence of the last operation it covers), which makes the entry
+    stream a replicable operation log: a replica that remembers the last
+    sequence it applied can ask for "everything after [seq]" and receive
+    either the missing mutations or, when a snapshot superseded them, the
+    snapshot (lib/replica). *)
 
 type record =
   | Mutation of Forkbase.Db.mutation
@@ -21,58 +19,16 @@ type record =
       (** Full image of every per-key branch table; replay replaces all
           tables and earlier records become irrelevant. *)
 
-type t
-
-val open_ : string -> t * (int * record list) list
-(** [open_ path] creates or re-opens the journal, returning the committed
-    [(seq, records)] entries in append order.  A torn final entry is
-    truncated away.
-    @raise Fbutil.Codec.Corrupt on a malformed committed entry. *)
-
-val append : t -> seq:int -> record list -> unit
-(** Append one entry (one operation's records, stamped [seq]) and flush it
-    to the OS.  Durability against power loss additionally requires
-    {!sync}. *)
-
-val sync : t -> unit
-(** Flush and [fsync]. *)
-
-val close : t -> unit
-(** Syncs, then closes. *)
-
-val crash : t -> unit
-(** Release the file {e without} the close-time fsync — the deterministic
-    crash used by the fault-injection harness (lib/check). *)
-
-val path : t -> string
-val file_size : t -> int
-
-val write_fresh : string -> (int * record list) list -> unit
-(** [write_fresh path entries] writes a brand-new fsynced journal at
-    [path] (truncating any existing file).  Checkpoint rotation writes the
-    replacement journal with this and atomically renames it over the live
-    one. *)
-
-(** {1 Replication support}
+(** {1 Entry bodies}
 
     Entries travel over the wire in their on-disk body encoding (sequence
-    number plus records), so primary and follower journals are
-    byte-identical for the entries they share. *)
+    number plus records), so primary and follower logs hold byte-identical
+    entry records for the entries they share. *)
 
 val encode_entry : seq:int -> record list -> string
-(** The entry body exactly as {!append} frames it (without the length
-    prefix) — what {!Fbremote.Wire} ships in a journal batch. *)
+(** The entry payload exactly as the log stores it (after the entry tag)
+    — what {!Fbremote.Wire} ships in a journal batch. *)
 
 val decode_entry : string -> int * record list
 (** Inverse of {!encode_entry}.
     @raise Fbutil.Codec.Corrupt on malformed input. *)
-
-val entries_from : string -> from_seq:int -> max_entries:int ->
-  (int * record list) list
-(** Scan the journal file at [path] and return up to [max_entries]
-    committed entries with sequence numbers strictly greater than
-    [from_seq], in append order.  A torn tail is ignored (not truncated).
-    The primary answers [Pull_journal] with this: a follower whose
-    position was compacted away receives the checkpoint snapshot entry
-    (stamped with a newer sequence) first and bootstraps from it.
-    @raise Fbutil.Codec.Corrupt on a malformed committed entry. *)

@@ -1,16 +1,16 @@
-(* Durable ForkBase database: append-only chunk log (§4.4) + write-ahead
-   branch journal for the §4.5 branch tables + checkpointed online
-   compaction.
+(* Durable ForkBase database: one append-only log (§4.4) holding the
+   chunks and, as entry records, the journal of the §4.5 branch tables,
+   plus snapshot checkpoints and online compaction.
 
    Write path ordering (one db operation):
-     1. chunks appended to the chunk log (buffered),
-     2. chunk log flushed to the OS,
-     3. the operation's branch records appended to the journal as one
-        atomic entry and flushed,
-     4. every [journal_sync_every] operations, chunk log then journal are
-        fsynced (in that order).
-   A journal entry therefore never refers to a chunk the OS has not seen,
-   for both process crashes (flush order) and power loss (fsync order). *)
+     1. chunks appended to the log (buffered),
+     2. the operation's branch records appended after them as one entry
+        record, and the log flushed to the OS: chunks and entry together,
+     3. every [journal_sync_every] operations, one fsync of the log.
+   File order is the write-ahead order: an entry never refers to a chunk
+   later in the file, so a torn tail can only drop an entry together with
+   (or after) the chunks it needs, for process crashes and power loss
+   alike. *)
 
 module Cid = Fbchunk.Cid
 module Store = Fbchunk.Chunk_store
@@ -19,8 +19,7 @@ module Db = Forkbase.Db
 
 type corruption =
   | Missing_head of { key : string; branch : string option; uid : Cid.t }
-  | Bad_journal of { path : string; reason : string }
-  | Bad_chunk_log of { path : string; off : int; reason : string }
+  | Bad_log of { path : string; off : int; reason : string }
 
 exception Corrupt_db of corruption
 
@@ -30,11 +29,9 @@ let pp_corruption fmt = function
         "recovered head %a of key %S%s is missing from the chunk store" Cid.pp
         uid key
         (match branch with Some b -> " (branch " ^ b ^ ")" | None -> " (untagged)")
-  | Bad_journal { path; reason } ->
-      Format.fprintf fmt "branch journal %s is corrupt: %s" path reason
-  | Bad_chunk_log { path; off; reason } ->
-      Format.fprintf fmt
-        "chunk log %s has a corrupt record at byte %d: %s" path off reason
+  | Bad_log { path; off; reason } ->
+      Format.fprintf fmt "log %s has a corrupt record at byte %d: %s" path off
+        reason
 
 let corruption_to_string c = Format.asprintf "%a" pp_corruption c
 
@@ -43,12 +40,13 @@ type t = {
   db : Db.t;
   set_store : Store.t -> unit;
   mutable log : Log_store.t;
-  mutable journal : Journal.t;
-  chunk_sync_every : int;
   journal_sync_every : int;
   mutable deferred_sync : bool;
   mutable unsynced_ops : int;
-  mutable seq : int;  (* sequence of the last committed journal entry *)
+  mutable seq : int;  (* sequence of the last committed entry *)
+  mutable recent : (int * int) list;
+      (* (seq, log offset) of the entries since the last snapshot, that
+         snapshot included, newest first: what a pull can be served *)
 }
 
 (* Renames only become durable once the containing directory's entry list
@@ -67,8 +65,8 @@ let fsync_dir dir =
 
 let dir_fsync_count () = !dir_fsyncs
 
-let chunk_file dir = Filename.concat dir "chunks.log"
-let journal_file dir = Filename.concat dir "branches.journal"
+let log_file dir = Filename.concat dir "chunks.log"
+let legacy_journal_file dir = Filename.concat dir "branches.journal"
 let tmp_suffix = ".tmp"
 
 let db t = t.db
@@ -76,22 +74,31 @@ let dir t = t.dir
 
 let sync t =
   Log_store.sync t.log;
-  Journal.sync t.journal;
   t.unsynced_ops <- 0
 
-let on_mutation t muts =
-  (* Chunk bytes referenced by these records must reach the OS before the
-     journal entry does. *)
+let is_snapshot =
+  List.exists (function Journal.Checkpoint _ -> true | Journal.Mutation _ -> false)
+
+(* Append one entry after the chunks it refers to and hand both to the OS
+   in one flush.  A snapshot supersedes every earlier entry, so it
+   restarts the pullable tail. *)
+let append t ~seq records =
+  let off = Log_store.append_entry t.log (Journal.encode_entry ~seq records) in
   Log_store.flush t.log;
-  t.seq <- t.seq + 1;
-  Journal.append t.journal ~seq:t.seq
-    (List.map (fun m -> Journal.Mutation m) muts);
+  t.seq <- seq;
+  t.recent <- (seq, off) :: (if is_snapshot records then [] else t.recent)
+
+let commit t ~seq records =
+  append t ~seq records;
   t.unsynced_ops <- t.unsynced_ops + 1;
   if
     (not t.deferred_sync)
     && t.journal_sync_every > 0
     && t.unsynced_ops >= t.journal_sync_every
   then sync t
+
+let on_mutation t muts =
+  commit t ~seq:(t.seq + 1) (List.map (fun m -> Journal.Mutation m) muts)
 
 let validate_heads db =
   let store = Db.store db in
@@ -117,45 +124,72 @@ let replay_records db records =
       | Journal.Mutation m -> Db.apply_mutation db m)
     records
 
-let replay db entries = List.iter (fun (_, records) -> replay_records db records) entries
+let bad_log f =
+  try f ()
+  with Log_store.Corrupt_log { file; off; reason } ->
+    raise (Corrupt_db (Bad_log { path = file; off; reason }))
 
-let open_db ?cfg ?acl ?(sync_every = 512) ?(journal_sync_every = 1) ?wrap_store
-    ?recovery_check dir =
+(* A store written before the journal moved into the log keeps its entries
+   in a second file.  Convert it once: append the entries the log lacks,
+   fsync the log, delete the file, fsync the directory.  A crash between
+   any two steps reopens to the same heads, because entries the log
+   already holds are skipped by sequence number. *)
+let import_legacy_journal dir log ~last_seq ~note =
+  let path = legacy_journal_file dir in
+  if Sys.file_exists path then begin
+    List.iter
+      (fun (off, body) ->
+        let ((seq, _) as entry) =
+          try Journal.decode_entry body
+          with Fbutil.Codec.Corrupt reason ->
+            raise (Corrupt_db (Bad_log { path; off; reason }))
+        in
+        if seq > last_seq then note (Log_store.append_entry log body) entry)
+      (bad_log (fun () -> Log_store.records path));
+    Log_store.sync log;
+    Sys.remove path;
+    fsync_dir dir
+  end
+
+let open_db ?cfg ?acl ?(journal_sync_every = 1) ?wrap_store ?recovery_check dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  (* Leftovers from a compaction or checkpoint that crashed before its
-     atomic rename are dead weight: remove them. *)
+  (* Leftovers from a compaction (or an old-layout checkpoint) that crashed
+     before its atomic rename are dead weight: remove them. *)
   List.iter
     (fun f ->
       let p = f dir ^ tmp_suffix in
       if Sys.file_exists p then Sys.remove p)
-    [ chunk_file; journal_file ];
+    [ log_file; legacy_journal_file ];
+  (* Every entry is decoded (a rotten one is corruption, which the log
+     reports with its offset), but only those from the last snapshot on
+     are kept for replay. *)
+  let recent = ref [] in
+  let note off ((seq, records) : int * Journal.record list) =
+    recent := (seq, off, records) :: (if is_snapshot records then [] else !recent)
+  in
   let log =
-    try Log_store.open_ ~sync_every (chunk_file dir)
-    with Log_store.Corrupt_log { file; off; reason } ->
-      raise (Corrupt_db (Bad_chunk_log { path = file; off; reason }))
+    bad_log (fun () ->
+        Log_store.open_
+          ~on_entry:(fun off body -> note off (Journal.decode_entry body))
+          (log_file dir))
   in
   let store, set_store = Store.redirectable (Log_store.store log) in
   (* Fault-injection / instrumentation wrappers go outside the redirectable
      store so compaction can still swap the backing log underneath them. *)
   let store = match wrap_store with None -> store | Some w -> w store in
   let db = Db.create ?cfg ?acl store in
-  let journal, entries =
-    try Journal.open_ (journal_file dir)
-    with Fbutil.Codec.Corrupt reason ->
-      Log_store.close log;
-      raise (Corrupt_db (Bad_journal { path = journal_file dir; reason }))
-  in
-  (* Any recovery failure from here on must release both files, or every
-     failed open leaks the journal and chunk-log descriptors. *)
+  let last_seq () = match !recent with (s, _, _) :: _ -> s | [] -> 0 in
+  (* Any recovery failure from here on must release the log, or every
+     failed open leaks its descriptors. *)
   (try
-     replay db entries;
+     import_legacy_journal dir log ~last_seq:(last_seq ()) ~note;
+     List.iter (fun (_, _, records) -> replay_records db records) (List.rev !recent);
      validate_heads db;
      (* Optional deep post-recovery verification (e.g. Fbcheck.Fsck).  Runs
         before the mutation hook is installed, so a checker that reads
         through the store cannot journal anything. *)
      match recovery_check with None -> () | Some check -> check db
    with e ->
-     Journal.close journal;
      Log_store.close log;
      raise e);
   let t =
@@ -164,96 +198,85 @@ let open_db ?cfg ?acl ?(sync_every = 512) ?(journal_sync_every = 1) ?wrap_store
       db;
       set_store;
       log;
-      journal;
-      chunk_sync_every = sync_every;
       journal_sync_every;
       deferred_sync = false;
       unsynced_ops = 0;
       (* sequences are assigned monotonically, so the last entry holds the
          store's current sequence *)
-      seq = (match List.rev entries with (s, _) :: _ -> s | [] -> 0);
+      seq = last_seq ();
+      recent = List.map (fun (seq, off, _) -> (seq, off)) !recent;
     }
   in
   Db.set_on_mutation db (fun muts -> on_mutation t muts);
   t
 
-(* Snapshot every branch table into a single Checkpoint entry, written as
-   a fresh journal and renamed over the live one: the journal shrinks to
-   O(live state) and recovery stops depending on the full history. *)
+(* Snapshot every branch table into one entry, stamped with the sequence
+   of the last operation it covers: the sequence counter survives, reopen
+   replays from here on, and a replication pull from an older position
+   receives this entry first. *)
+let snapshot t = [ Journal.Checkpoint (Db.export_tables t.db) ]
+
 let checkpoint t =
-  let snaps = Db.export_tables t.db in
-  Log_store.sync t.log;
-  let tmp = journal_file t.dir ^ tmp_suffix in
-  (* The snapshot is stamped with the sequence of the last operation it
-     covers, so the sequence counter survives rotation and a replication
-     pull from an older position receives this entry first. *)
-  Journal.write_fresh tmp [ (t.seq, [ Journal.Checkpoint snaps ]) ];
-  Journal.close t.journal;
-  Unix.rename tmp (journal_file t.dir);
-  fsync_dir t.dir;
-  let journal, _ = Journal.open_ (journal_file t.dir) in
-  t.journal <- journal;
-  t.unsynced_ops <- 0
+  append t ~seq:t.seq (snapshot t);
+  sync t
 
 let garbage_stats t = Forkbase.Gc.garbage_stats t.db
 
-(* Online compaction: sweep live chunks into a fresh log, atomically swap
-   the files, redirect the db's store, then checkpoint the journal so no
-   record refers to collected state.  Returns reclaimed (chunks, bytes). *)
+(* Online compaction: sweep live chunks into a fresh log, append the
+   snapshot after them, fsync, rename it over the live log and fsync the
+   directory, then redirect the db's store.  Returns reclaimed
+   (chunks, bytes). *)
 let compact t =
-  Log_store.sync t.log;
   let old_stats = (Db.store t.db).Store.stats () in
   let old_chunks = old_stats.Store.chunks and old_bytes = old_stats.Store.bytes in
-  let tmp = chunk_file t.dir ^ tmp_suffix in
+  let tmp = log_file t.dir ^ tmp_suffix in
   if Sys.file_exists tmp then Sys.remove tmp;
-  let fresh = Log_store.open_ ~sync_every:0 tmp in
+  let fresh = Log_store.open_ tmp in
   let live_chunks, live_bytes =
     Forkbase.Gc.sweep t.db ~into:(Log_store.store fresh)
   in
+  let off =
+    Log_store.append_entry fresh (Journal.encode_entry ~seq:t.seq (snapshot t))
+  in
   Log_store.close fresh;
-  Log_store.close t.log;
-  Unix.rename tmp (chunk_file t.dir);
+  Unix.rename tmp (log_file t.dir);
   fsync_dir t.dir;
-  t.log <- Log_store.open_ ~sync_every:t.chunk_sync_every (chunk_file t.dir);
+  (* the old file is unlinked: nothing of it needs to reach the disk *)
+  Log_store.crash t.log;
+  t.log <- Log_store.open_ (log_file t.dir);
   t.set_store (Log_store.store t.log);
-  checkpoint t;
+  t.recent <- [ (t.seq, off) ];
+  t.unsynced_ops <- 0;
   (old_chunks - live_chunks, old_bytes - live_bytes)
 
-let journal_size t = Journal.file_size t.journal
-let chunk_log_size t = Log_store.file_size t.log
+let log_size t = Log_store.file_size t.log
+let journal_bytes t = Log_store.entry_bytes t.log
 let journal_seq t = t.seq
 
-(* Serve a replication pull from the on-disk journal.  [Journal.append]
-   flushes per entry, so a read-only scan of the live file sees every
-   committed entry; the journal is checkpoint-bounded, so the scan is
-   O(live state + recent tail), not O(history). *)
+(* Serve a replication pull from the entry offsets since the last
+   snapshot: O(entries returned) reads, no rescan of the log. *)
 let pull_entries t ~from_seq ~max_entries =
-  Journal.entries_from (Journal.path t.journal) ~from_seq ~max_entries
+  let rec newer acc = function
+    | (seq, off) :: rest when seq > from_seq -> newer (off :: acc) rest
+    | _ -> acc
+  in
+  newer [] t.recent
+  |> List.filteri (fun i _ -> i < max_entries)
+  |> List.map (Log_store.read_entry t.log)
 
-(* Apply one shipped entry: journal first (chunks flushed ahead of it, the
-   same write-path ordering as [on_mutation]), then replay the records into
-   the in-memory tables.  [Db.apply_mutation] / [Db.import_tables] do not
-   fire the mutation hook, so nothing is double-journaled. *)
+(* Apply one shipped entry: append it after its chunks (the same
+   write-path ordering as [on_mutation]), then replay the records into the
+   in-memory tables.  [Db.apply_mutation] / [Db.import_tables] do not fire
+   the mutation hook, so nothing is journaled twice. *)
 let apply_replicated t ~seq records =
   if seq > t.seq then begin
-    let is_snapshot =
-      List.exists (function Journal.Checkpoint _ -> true | _ -> false) records
-    in
-    if (not is_snapshot) && seq <> t.seq + 1 then
+    if (not (is_snapshot records)) && seq <> t.seq + 1 then
       invalid_arg
         (Printf.sprintf
            "Persist.apply_replicated: mutation entry %d does not follow %d"
            seq t.seq);
-    Log_store.flush t.log;
-    Journal.append t.journal ~seq records;
-    replay_records t.db records;
-    t.seq <- seq;
-    t.unsynced_ops <- t.unsynced_ops + 1;
-    if
-      (not t.deferred_sync)
-      && t.journal_sync_every > 0
-      && t.unsynced_ops >= t.journal_sync_every
-    then sync t
+    commit t ~seq records;
+    replay_records t.db records
   end
 
 (* Group-commit support: with deferred sync on, [on_mutation] /
@@ -264,15 +287,10 @@ let apply_replicated t ~seq records =
 let set_deferred_sync t v = t.deferred_sync <- v
 let unsynced_ops t = t.unsynced_ops
 
-let close t =
-  sync t;
-  Journal.close t.journal;
-  Log_store.close t.log
+let close t = Log_store.close t.log
 
-(* Deterministic crash: drop the files as a SIGKILL at an operation
-   boundary would — no final sync, no checkpoint.  Acked operations are
-   already flushed per [on_mutation], so a subsequent [open_db] recovers
-   exactly the acknowledged state. *)
-let crash t =
-  Journal.crash t.journal;
-  Log_store.crash t.log
+(* Deterministic crash: drop the log as a SIGKILL at an operation boundary
+   would — no final sync, no checkpoint.  Acked operations are already
+   flushed per [append], so a subsequent [open_db] recovers exactly the
+   acknowledged state. *)
+let crash t = Log_store.crash t.log

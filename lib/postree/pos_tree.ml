@@ -270,6 +270,17 @@ module Make (E : ELEM) = struct
 
   let of_list store cfg l = of_elements store cfg (List.to_seq l)
   let empty store cfg = of_list store cfg []
+
+  (* Sort by key, keep the last write for duplicate keys. *)
+  let sorted_unique elems =
+    let rec dedup = function
+      | a :: (b :: _ as rest) when String.equal (E.key a) (E.key b) -> dedup rest
+      | a :: rest -> a :: dedup rest
+      | [] -> []
+    in
+    dedup (List.stable_sort (fun a b -> String.compare (E.key a) (E.key b)) elems)
+
+  let of_unsorted store cfg elems = of_list store cfg (sorted_unique elems)
   let of_bytes store cfg s = build store cfg (fun lb -> lb_add_bytes lb s ~off:0)
 
   let ref_of_chunk cid chunk =
@@ -735,18 +746,6 @@ module Make (E : ELEM) = struct
   let set_sorted_many t elems =
     if elems = [] then t
     else begin
-      (* Sort by key, keep the last write for duplicate keys. *)
-      let sorted =
-        List.stable_sort (fun a b -> String.compare (E.key a) (E.key b)) elems
-      in
-      let dedup =
-        let rec go = function
-          | a :: (b :: _ as rest) when String.equal (E.key a) (E.key b) -> go rest
-          | a :: rest -> a :: go rest
-          | [] -> []
-        in
-        go sorted
-      in
       (* Positions are all w.r.t. the original tree, so edits at the same
          insert position are merged into a single edit.  Insert lists are
          accumulated reversed so bulk loads stay linear. *)
@@ -762,7 +761,7 @@ module Make (E : ELEM) = struct
                 match acc with
                 | (p0, 0, ins0) :: rest when p0 = i -> (i, 0, e :: ins0) :: rest
                 | _ -> (i, 0, [ e ]) :: acc))
-          [] dedup
+          [] (sorted_unique elems)
       in
       let edits = List.rev_map (fun (p, d, ins) -> (p, d, List.rev ins)) edits in
       splice_many t edits

@@ -69,6 +69,11 @@ module Make (E : ELEM) : sig
   val of_elements : Fbchunk.Chunk_store.t -> Tree_config.t -> elem Seq.t -> t
   val of_list : Fbchunk.Chunk_store.t -> Tree_config.t -> elem list -> t
 
+  val of_unsorted : Fbchunk.Chunk_store.t -> Tree_config.t -> elem list -> t
+  (** Bulk build of a sorted tree from elements in any order, the last of
+      duplicate keys winning: the tree [set_sorted_many (empty ...)] gives,
+      without storing [empty]'s leaf. *)
+
   val of_bytes : Fbchunk.Chunk_store.t -> Tree_config.t -> string -> t
   (** Bulk build from a flat byte string where each byte is one element
       (Blob).  Produces exactly the same tree as {!of_elements} over the

@@ -12,11 +12,9 @@ let pull_batch = 256
 let journal_hooks p =
   {
     Server.j_seq = (fun () -> Persist.journal_seq p);
-    j_bytes = (fun () -> Persist.journal_size p);
+    j_bytes = (fun () -> Persist.journal_bytes p);
     j_pull =
-      (fun ~from_seq ->
-        Persist.pull_entries p ~from_seq ~max_entries:pull_batch
-        |> List.map (fun (seq, records) -> Journal.encode_entry ~seq records));
+      (fun ~from_seq -> Persist.pull_entries p ~from_seq ~max_entries:pull_batch);
   }
 
 type t = {

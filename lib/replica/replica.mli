@@ -20,10 +20,10 @@
     durable store — open it with {!Fbpersist.Persist.open_db} and serve
     it with {!journal_hooks} to make it the new primary.
 
-    When the follower's position has been compacted away on the primary
-    (checkpoint rotation discarded the entries it needs), the pull
-    returns the primary's checkpoint-snapshot entry instead, stamped
-    with a newer sequence; applying it replaces every branch table — the
+    When the follower's position precedes the primary's last snapshot
+    (a checkpoint or compaction superseded the entries it needs), the
+    pull returns that snapshot entry instead, stamped with a newer
+    sequence; applying it replaces every branch table — the
     snapshot-bootstrap path.  The same path serves a brand-new follower
     at sequence 0.
 

@@ -12,7 +12,7 @@ exception Rebalance_failed of string
 
 let () =
   Printexc.register_printer (function
-    | Unroutable msg -> Some ("forkbase dispatch: unroutable: " ^ msg)
+    | Unroutable msg -> Some ("forkbase dispatcher: unroutable: " ^ msg)
     | Rebalance_failed msg -> Some ("forkbase rebalance failed: " ^ msg)
     | _ -> None)
 

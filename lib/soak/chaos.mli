@@ -21,9 +21,9 @@ type event =
       (** SIGKILL the primary server process mid-traffic, fsck its
           on-disk store, respawn it on the same port, reconnect *)
   | Force_compaction
-      (** force a checkpoint + chunk-log compaction inside the primary
-          over the wire, racing follower catch-up against journal
-          rotation *)
+      (** force a compaction (with its snapshot entry) inside the
+          primary over the wire, racing follower catch-up against the
+          snapshot that supersedes their entries *)
   | Promote_follower
       (** quiesce, SIGKILL the primary, promote the first follower's
           store to primary on the same port, and recycle the old

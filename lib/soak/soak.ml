@@ -390,7 +390,7 @@ let fire st = function
       st.d.cfg.log
         (Printf.sprintf "[op %d] compaction reclaimed %d chunks, %d bytes"
            st.d.op chunks bytes);
-      (* let the followers race the rotated journal right away *)
+      (* let the followers race the fresh snapshot right away *)
       Array.iter sync_once st.fols;
       verify_all st ~reason:"after forced compaction"
   | Chaos.Promote_follower ->

@@ -22,8 +22,7 @@ type t = T.t
 
 let empty = T.empty
 
-let create store cfg kvs =
-  T.set_sorted_many (empty store cfg) kvs
+let create = T.of_unsorted
 
 let of_root = T.of_root
 let root = T.root

@@ -14,7 +14,7 @@ module T = Fbtree.Pos_tree.Make (Member_elem)
 type t = T.t
 
 let empty = T.empty
-let create store cfg members = T.set_sorted_many (empty store cfg) members
+let create = T.of_unsorted
 let of_root = T.of_root
 let root = T.root
 let cardinal = T.length

@@ -1,6 +1,6 @@
 (* Crash harness: run a deterministic workload against a durable store,
    abandon it with [Persist.crash] — byte-identical on disk to a SIGKILL
-   at an operation boundary, because the write path flushes both files
+   at an operation boundary, because the write path flushes the log
    before each operation returns — then recover and check the state is
    EXACTLY the replay of the acknowledged operations.
 
@@ -11,9 +11,9 @@
    pure function of its parameters:
 
    - crash after exactly n ops  -> recovered state = replay n;
-   - tear the journal mid-entry -> the torn entry is dropped, state =
+   - tear the log mid-entry -> the torn entry is dropped, state =
      replay of the ops before it;
-   - tear the chunk log under a journaled head -> typed Corrupt_db
+   - cut a journaled head's chunk out of the log -> typed Corrupt_db
      (Missing_head), never a raw exception.
 
    Every recovery is additionally fsck'd: zero invariant violations. *)
@@ -152,32 +152,36 @@ let run_cycle n () =
   check_fsck_clean db;
   Persist.close p
 
-(* Tear the branch journal strictly inside its final entry — the torn
-   record a crash mid-append leaves.  Recovery must drop exactly that
-   entry: the state is the replay of the ops before the last mutating
-   one, and fsck still finds nothing (chunks for the dropped op become
-   mere garbage). *)
+(* Tear the log strictly inside the last entry record — the torn record a
+   crash mid-append leaves.  Recovery must drop exactly that entry: the
+   state is the replay of the ops before the last mutating one, and fsck
+   still finds nothing (chunks for the dropped op become mere garbage). *)
 let run_torn_journal n () =
   Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
-  let sizes = Array.make (n + 1) (Persist.journal_size p) in
+  let log_ends = Array.make (n + 1) (Persist.log_size p) in
+  let entry_bytes = Array.make (n + 1) (Persist.journal_bytes p) in
   for i = 0 to n - 1 do
     apply_op db i;
-    sizes.(i + 1) <- Persist.journal_size p
+    log_ends.(i + 1) <- Persist.log_size p;
+    entry_bytes.(i + 1) <- Persist.journal_bytes p
   done;
   Persist.crash p;
-  (* last op that journaled anything; its entry spans (sizes m, sizes m+1] *)
+  (* last op that journaled anything; its entry is the last record it
+     appended, ending at log_ends.(m + 1) *)
   let m = ref (n - 1) in
-  while !m >= 0 && sizes.(!m + 1) = sizes.(!m) do
+  while !m >= 0 && entry_bytes.(!m + 1) = entry_bytes.(!m) do
     decr m
   done;
   let m = !m in
   Alcotest.(check bool) "workload journaled something" true (m >= 0);
-  Alcotest.(check bool) "journal entries are at least 2 bytes" true
-    (sizes.(m + 1) - sizes.(m) >= 2);
-  let journal = Filename.concat dir "branches.journal" in
-  Failpoint.tear_file journal ~drop:(sizes.(m + 1) - sizes.(m) - 1);
+  let entry_len = entry_bytes.(m + 1) - entry_bytes.(m) in
+  Alcotest.(check bool) "entry records are at least 2 bytes" true
+    (entry_len >= 2);
+  let cut = log_ends.(m + 1) - entry_len + 1 in
+  Failpoint.tear_file (Filename.concat dir "chunks.log")
+    ~drop:(log_ends.(n) - cut);
   let p = Persist.open_db dir in
   let recovered = state_of (Persist.db p) in
   if recovered <> replay m then
@@ -187,9 +191,9 @@ let run_torn_journal n () =
   check_fsck_clean (Persist.db p);
   Persist.close p
 
-(* Tear the chunk log so a journaled head loses its meta chunk: recovery
-   must refuse with a typed Corrupt_db, not a raw exception or a silently
-   wrong state. *)
+(* Cut the meta chunk of a journaled head out of the log, leaving its
+   entry: recovery must refuse with a typed Corrupt_db, not a raw
+   exception or a silently wrong state. *)
 let run_torn_chunk_log () =
   Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
@@ -197,10 +201,17 @@ let run_torn_chunk_log () =
   for i = 0 to 19 do
     apply_op db i
   done;
-  (* a final put whose meta chunk is the last chunk-log record *)
+  (* a final put of a prim: one meta chunk record, then its entry *)
+  let before = Persist.log_size p and entries_before = Persist.journal_bytes p in
   let (_ : Cid.t) = Db.put db ~key:"tail" ~context:"tail-op" (Db.str "end") in
+  let after = Persist.log_size p in
+  let entry_len = Persist.journal_bytes p - entries_before in
   Persist.crash p;
-  Failpoint.tear_file (Filename.concat dir "chunks.log") ~drop:1;
+  let log = Filename.concat dir "chunks.log" in
+  let bytes = In_channel.with_open_bin log In_channel.input_all in
+  Out_channel.with_open_bin log (fun oc ->
+      output_string oc (String.sub bytes 0 before);
+      output_string oc (String.sub bytes (after - entry_len) entry_len));
   (match Persist.open_db dir with
   | exception Persist.Corrupt_db (Persist.Missing_head { key; _ }) ->
       Alcotest.(check string) "the torn head is the tail put" "tail" key

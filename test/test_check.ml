@@ -383,9 +383,9 @@ let test_corrupt_tag_byte () =
   close_out oc;
   ignore data;
   (match Persist.open_db ~cfg dir with
-  | exception Persist.Corrupt_db (Persist.Bad_chunk_log _) -> ()
+  | exception Persist.Corrupt_db (Persist.Bad_log _) -> ()
   | exception e ->
-      Alcotest.fail ("expected Bad_chunk_log, got " ^ Printexc.to_string e)
+      Alcotest.fail ("expected Bad_log, got " ^ Printexc.to_string e)
   | p ->
       Persist.close p;
       Alcotest.fail "open_db accepted a rotten chunk record");

@@ -92,10 +92,46 @@ let test_commands () =
     (run [ "get"; "-b"; "draft"; "page" ]);
   Alcotest.(check string) "note survives gc" "hello\n" (run [ "get"; "note" ])
 
+(* The same commands routed with --via through a 2-shard cluster print
+   the same bytes as against a local store: one printer serves both. *)
+let test_routed_matches_local () =
+  Testnet.with_temp_dir @@ fun local ->
+  Testnet.with_temp_dir @@ fun d0 ->
+  Testnet.with_temp_dir @@ fun d1 ->
+  let procs, map = Fbshard.Shard.spawn_cluster ~dirs:[ d0; d1 ] () in
+  Fun.protect ~finally:(fun () -> List.iter Fbremote.Procs.kill procs)
+  @@ fun () ->
+  let via =
+    let host, port = Fbshard.Shard_map.addr map 0 in
+    Printf.sprintf "%s:%d" host port
+  in
+  let run = run local in
+  let both = function
+    | cmd :: args -> (run (cmd :: args), run (cmd :: "--via" :: via :: args))
+    | [] -> invalid_arg "both"
+  in
+  let page = Fbutil.Splitmix.alphanum (Fbutil.Splitmix.create 0xC12L) 9_000 in
+  List.iter
+    (fun args ->
+      let here, routed = both ("put" :: args) in
+      Alcotest.(check string) "put --via prints the local uid" here routed)
+    [ [ "note"; "hello" ]; [ "--blob"; "page"; page ] ];
+  List.iter
+    (fun key ->
+      let here, routed = both [ "get"; key ] in
+      Alcotest.(check string) ("get --via " ^ key) here routed)
+    [ "note"; "page" ];
+  Alcotest.(check string) "a blob prints without a trailing newline" page
+    (snd (both [ "get"; "page" ]))
+
 let () =
   Alcotest.run "cli"
     [
       ( "smoke",
-        [ Alcotest.test_case "put/get/fork/merge/gc/fsck" `Quick test_commands ]
+        [
+          Alcotest.test_case "put/get/fork/merge/gc/fsck" `Quick test_commands;
+          Alcotest.test_case "--via matches local" `Quick
+            test_routed_matches_local;
+        ]
       );
     ]

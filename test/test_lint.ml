@@ -512,8 +512,8 @@ let test_walker () =
   Unix.mkdir remote 0o755;
   write_file
     (Filename.concat remote "server.ml")
-    "let handle fd = Journal.sync fd";
-  write_file (Filename.concat remote "journal.ml") "let sync fd = ignore fd";
+    "let handle fd = Persist.sync fd";
+  write_file (Filename.concat remote "persist.ml") "let sync fd = ignore fd";
   let findings = Lint.collect [ remote ] in
   check_ids "walked units are analyzed together" [ "no-block-in-loop" ]
     findings

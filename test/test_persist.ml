@@ -1,9 +1,9 @@
-(* The persistence subsystem (lib/persist): branch journal + recovery +
-   checkpointed compaction, including byte-level torn-tail properties for
-   both on-disk files. *)
+(* The persistence subsystem (lib/persist): one log of chunks and journal
+   entries, recovery, checkpoints and compaction, including a byte-level
+   torn-tail property over the log and the conversion of a store written
+   in the older two-file layout. *)
 
 module Cid = Fbchunk.Cid
-module Chunk = Fbchunk.Chunk
 module Store = Fbchunk.Chunk_store
 module Log_store = Fbchunk.Log_store
 module Db = Forkbase.Db
@@ -95,10 +95,9 @@ let test_checkpoint_and_reopen () =
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let (_ : Cid.t) = workload db in
-  let size_before = Persist.journal_size p in
   Persist.checkpoint p;
-  Alcotest.(check bool) "journal shrank" true
-    (Persist.journal_size p < size_before);
+  Alcotest.(check int) "pulls start at the snapshot" 1
+    (List.length (Persist.pull_entries p ~from_seq:0 ~max_entries:100));
   let before = state_of db in
   (* writes after a checkpoint land after the snapshot entry *)
   let (_ : Cid.t) = Db.put db ~key:"page" (Db.str "post-checkpoint") in
@@ -127,13 +126,12 @@ let test_compaction_reclaims_garbage () =
   let garbage_chunks, garbage_bytes = Persist.garbage_stats p in
   Alcotest.(check bool) "orphaned values are garbage" true (garbage_chunks > 0);
   let before = state_of db in
-  let log_before = Persist.chunk_log_size p in
+  let log_before = Persist.log_size p in
   let reclaimed_chunks, reclaimed_bytes = Persist.compact p in
   Alcotest.(check int) "reclaims garbage chunks" garbage_chunks reclaimed_chunks;
   Alcotest.(check bool) "reclaims at least garbage bytes" true
     (reclaimed_bytes >= garbage_bytes);
-  Alcotest.(check bool) "chunk log shrank" true
-    (Persist.chunk_log_size p < log_before);
+  Alcotest.(check bool) "log shrank" true (Persist.log_size p < log_before);
   (* the live db keeps working against the swapped store *)
   Alcotest.(check bool) "state preserved" true (state_of db = before);
   (match Db.get db ~key:"keep" with
@@ -230,20 +228,32 @@ let test_cached_chunk_rot_found_by_fsck () =
          | None -> false)
        report.Fbcheck.Fsck.violations)
 
-let test_missing_head_is_corruption () =
-  Testnet.with_temp_dir @@ fun dir ->
+let log_path dir = Filename.concat dir "chunks.log"
+
+let one_put_store dir =
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
-  Persist.close p;
-  (* forge a head that no chunk backs *)
-  let j, _ = Journal.open_ (Filename.concat dir "branches.journal") in
-  Journal.append j ~seq:3
-    [
-      Journal.Mutation
-        (Db.Set_head
-           { key = "k"; branch = "master"; uid = Cid.digest "no such chunk" });
-    ];
-  Journal.close j;
+  Persist.close p
+
+(* Append a well-formed entry moving [k]'s master to a head that no chunk
+   backs. *)
+let forge_dangling_head dir =
+  let log = Log_store.open_ (log_path dir) in
+  let (_ : int) =
+    Log_store.append_entry log
+      (Journal.encode_entry ~seq:3
+         [
+           Journal.Mutation
+             (Db.Set_head
+                { key = "k"; branch = "master"; uid = Cid.digest "no such chunk" });
+         ])
+  in
+  Log_store.close log
+
+let test_missing_head_is_corruption () =
+  Testnet.with_temp_dir @@ fun dir ->
+  one_put_store dir;
+  forge_dangling_head dir;
   match Persist.open_db dir with
   | exception Persist.Corrupt_db (Persist.Missing_head { key = "k"; _ }) -> ()
   | exception e -> Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e)
@@ -253,122 +263,154 @@ let test_missing_head_is_corruption () =
 
 let test_garbled_journal_is_corruption () =
   Testnet.with_temp_dir @@ fun dir ->
-  let p = Persist.open_db dir in
-  let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
-  Persist.close p;
-  let path = Filename.concat dir "branches.journal" in
-  (* a complete, well-framed entry whose body is garbage is corruption,
-     not a torn tail *)
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  output_string oc "\x03zzz";
+  one_put_store dir;
+  (* a complete, well-framed entry record whose payload is garbage is
+     corruption, not a torn tail *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 (log_path dir) in
+  output_string oc "\x04Jzzz";
   close_out oc;
   match Persist.open_db dir with
-  | exception Persist.Corrupt_db (Persist.Bad_journal _) -> ()
+  | exception Persist.Corrupt_db (Persist.Bad_log _) -> ()
   | exception e -> Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e)
   | p ->
       Persist.close p;
       Alcotest.fail "garbled journal accepted"
 
-(* --- torn-tail properties: every byte offset of the final record --- *)
+(* --- torn-tail property: every byte offset of the log --- *)
 
-let copy_file src dst =
-  let ic = open_in_bin src and oc = open_out_bin dst in
-  let len = in_channel_length ic in
-  let buf = Bytes.create len in
-  really_input ic buf 0 len;
-  output_bytes oc buf;
-  close_in ic;
-  close_out oc
+(* Operations whose records interleave chunks with mutation and snapshot
+   entries; each returns once its entry (if any) is the last record. *)
+let interleaved_ops p =
+  let db = Persist.db p in
+  let ok = function Ok _ -> () | Error e -> Alcotest.fail (Db.error_to_string e) in
+  [
+    (fun () -> ignore (Db.put db ~key:"page" (Db.str "v1") : Cid.t));
+    (fun () -> ignore (Db.put db ~key:"page" ~context:"2" (Db.str "v2") : Cid.t));
+    (fun () -> ok (Db.fork db ~key:"page" ~from_branch:"master" ~new_branch:"draft"));
+    (fun () -> Persist.checkpoint p);
+    (fun () -> ignore (Db.put db ~key:"counts" (Db.map db [ ("a", "1") ]) : Cid.t));
+    (fun () -> ok (Db.rename_branch db ~key:"page" ~target:"draft" ~new_name:"review"));
+    (fun () ->
+      let base = Result.get_ok (Db.head db ~key:"page") in
+      ok (Db.put_at db ~key:"page" ~base (Db.str "untagged")));
+    (fun () -> Persist.checkpoint p);
+    (fun () -> ignore (Db.put ~branch:"review" db ~key:"page" (Db.str "v3") : Cid.t));
+    (fun () -> ok (Db.remove_branch db ~key:"page" ~target:"review"));
+  ]
 
-(* Chunk log: appending [n] chunks then truncating anywhere inside the
-   final record recovers exactly the first [n - 1] chunks. *)
-let test_log_store_torn_tail_every_offset () =
-  Testnet.with_temp_dir @@ fun dir ->
-  let path = Filename.concat dir "chunks.log" in
-  let chunk i = Chunk.v Chunk.Blob (Printf.sprintf "payload-%d-%s" i (String.make (50 + i) 'p')) in
-  let log = Log_store.open_ path in
-  let s = Log_store.store log in
-  let cids = List.init 8 (fun i -> s.Store.put (chunk i)) in
-  Log_store.close log;
-  let full = (Unix.stat path).Unix.st_size in
-  let body_len = Chunk.byte_size (chunk 7) in
-  let header_len = if body_len < 0x80 then 1 else 2 in
-  let record_start = full - body_len - header_len in
-  let committed = List.filteri (fun i _ -> i < 7) cids in
-  let torn = List.nth cids 7 in
-  let scratch = Filename.concat dir "scratch.log" in
-  for cut = record_start to full - 1 do
-    copy_file path scratch;
-    Unix.truncate scratch cut;
-    let log2 = Log_store.open_ scratch in
-    let s2 = Log_store.store log2 in
-    List.iteri
-      (fun i cid ->
-        match s2.Store.get cid with
-        | Some c -> Alcotest.(check bool) "committed chunk content" true (c = chunk i)
-        | None -> Alcotest.fail (Printf.sprintf "chunk %d lost at cut %d" i cut))
-      committed;
-    Alcotest.(check int)
-      (Printf.sprintf "exactly the committed prefix at cut %d" cut)
-      7
-      (s2.Store.stats ()).Store.chunks;
-    Alcotest.(check bool) "torn chunk dropped" true (s2.Store.get torn = None);
-    Log_store.close log2
+(* Cutting the log at any byte offset reopens to exactly the entries
+   complete before the cut: their sequence, their branch tables, heads
+   that resolve, and a clean fsck; and the log then continues cleanly
+   from the cut. *)
+let test_one_log_torn_tail_every_offset () =
+  Testnet.with_temp_dirs2 @@ fun dir scratch ->
+  let p = Persist.open_db dir in
+  let empty = (0, 0, state_of (Persist.db p)) in
+  let boundaries =
+    empty
+    :: List.map
+         (fun op ->
+           op ();
+           (Persist.log_size p, Persist.journal_seq p, state_of (Persist.db p)))
+         (interleaved_ops p)
+  in
+  Persist.close p;
+  let log = In_channel.with_open_bin (log_path dir) In_channel.input_all in
+  for cut = 0 to String.length log do
+    Out_channel.with_open_bin (log_path scratch) (fun oc ->
+        output_string oc (String.sub log 0 cut));
+    let _, seq, state =
+      List.fold_left
+        (fun acc ((end_, _, _) as b) -> if end_ <= cut then b else acc)
+        empty boundaries
+    in
+    let p = Persist.open_db scratch in
+    let db = Persist.db p in
+    Alcotest.(check int) (Printf.sprintf "seq at cut %d" cut) seq
+      (Persist.journal_seq p);
+    Alcotest.(check bool) (Printf.sprintf "tables at cut %d" cut) true
+      (state_of db = state);
+    Alcotest.(check bool) (Printf.sprintf "fsck at cut %d" cut) true
+      (Fbcheck.Fsck.ok (Fbcheck.Fsck.check_db db));
+    (* the log continues from the cut: a new operation survives reopen *)
+    let (_ : Cid.t) = Db.put db ~key:"after" (Db.str (string_of_int cut)) in
+    let continued = state_of db in
+    Persist.close p;
+    let p = Persist.open_db scratch in
+    Alcotest.(check bool) (Printf.sprintf "append after cut %d" cut) true
+      (state_of (Persist.db p) = continued);
+    Persist.close p
   done
 
-(* Branch journal: truncating anywhere inside the final entry makes
-   reopen recover exactly the state before the final operation. *)
-let test_journal_torn_tail_every_offset () =
+(* --- stores written in the two-file layout --- *)
+
+let framed bodies =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun body ->
+      Fbutil.Codec.varint buf (String.length body);
+      Buffer.add_string buf body)
+    bodies;
+  Buffer.contents buf
+
+(* Rewrite [dir]'s log as the older two-file layout: chunk records alone
+   in chunks.log, and each entry payload framed by its varint length in
+   branches.journal. *)
+let to_two_file_layout dir =
+  let entries, chunks =
+    List.partition
+      (fun (_, body) -> body.[0] = Log_store.entry_tag)
+      (Log_store.records (log_path dir))
+  in
+  let write name s =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+        output_string oc s)
+  in
+  write "chunks.log" (framed (List.map snd chunks));
+  write "branches.journal"
+    (framed
+       (List.map (fun (_, b) -> String.sub b 1 (String.length b - 1)) entries))
+
+let test_two_file_store_opens () =
   Testnet.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
-  let db = Persist.db p in
-  let (_ : Cid.t) = workload db in
-  let committed_state = state_of db in
-  let size_before_last = Persist.journal_size p in
-  (* the final operation: a put that both records an object and moves a
-     branch head *)
-  let (_ : Cid.t) = Db.put db ~key:"page" (Db.str "final-op") in
-  let final_state = state_of db in
+  let (_ : Cid.t) = workload (Persist.db p) in
+  Persist.checkpoint p;
+  let (_ : Cid.t) = Db.put (Persist.db p) ~key:"page" (Db.str "after") in
+  let state = state_of (Persist.db p) and seq = Persist.journal_seq p in
   Persist.close p;
-  let jpath = Filename.concat dir "branches.journal" in
-  let full = (Unix.stat jpath).Unix.st_size in
-  Alcotest.(check bool) "final entry appended" true (full > size_before_last);
-  let jcopy = Filename.concat dir "journal.orig" in
-  let ccopy = Filename.concat dir "chunks.orig" in
-  copy_file jpath jcopy;
-  copy_file (Filename.concat dir "chunks.log") ccopy;
-  for cut = size_before_last to full do
-    copy_file jcopy jpath;
-    copy_file ccopy (Filename.concat dir "chunks.log");
-    Unix.truncate jpath cut;
-    let p2 = Persist.open_db dir in
-    let got = state_of (Persist.db p2) in
-    let expect = if cut = full then final_state else committed_state in
-    Alcotest.(check bool)
-      (Printf.sprintf "committed prefix at cut %d" cut)
-      true (got = expect);
-    Persist.close p2
-  done
+  to_two_file_layout dir;
+  let journal = Filename.concat dir "branches.journal" in
+  let saved = In_channel.with_open_bin journal In_channel.input_all in
+  let reopen what =
+    let p = Persist.open_db dir in
+    Alcotest.(check bool) (what ^ ": heads") true (state_of (Persist.db p) = state);
+    Alcotest.(check int) (what ^ ": journal_seq") seq (Persist.journal_seq p);
+    let entry_bytes = Persist.journal_bytes p in
+    Persist.close p;
+    Alcotest.(check bool) (what ^ ": branches.journal is gone") false
+      (Sys.file_exists journal);
+    Alcotest.(check bool) (what ^ ": fsck clean") true
+      (Fbcheck.Fsck.ok (Fbcheck.Fsck.check_dir dir));
+    entry_bytes
+  in
+  let converted = reopen "converted" in
+  (* a crash after the entries reached the log but before the journal
+     file was deleted: the next open skips every entry it already holds *)
+  Out_channel.with_open_bin journal (fun oc -> output_string oc saved);
+  Alcotest.(check int) "no entry appended twice" converted
+    (reopen "re-converted")
 
-(* --- regression: a failed open must release both descriptors --- *)
+(* --- regression: a failed open must release the log's descriptors --- *)
 
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_failed_open_leaks_no_fds () =
   Testnet.with_temp_dir @@ fun dir ->
-  let p = Persist.open_db dir in
-  let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
-  Persist.close p;
+  one_put_store dir;
   (* forge a dangling head so every reopen fails inside validate_heads,
-     after both the chunk log and the journal are already open *)
-  let j, _ = Journal.open_ (Filename.concat dir "branches.journal") in
-  Journal.append j ~seq:3
-    [
-      Journal.Mutation
-        (Db.Set_head
-           { key = "k"; branch = "master"; uid = Cid.digest "no such chunk" });
-    ];
-  Journal.close j;
+     after the log is already open *)
+  forge_dangling_head dir;
   let baseline = count_fds () in
   for _ = 1 to 100 do
     match Persist.open_db dir with
@@ -390,13 +432,12 @@ let test_rename_fsyncs_directory () =
   let before = Persist.dir_fsync_count () in
   Persist.checkpoint p;
   let after_ckpt = Persist.dir_fsync_count () in
-  Alcotest.(check bool) "checkpoint fsyncs the directory" true
-    (after_ckpt > before);
+  Alcotest.(check int) "checkpoint renames nothing" before after_ckpt;
   let (_ : int * int) = Persist.compact p in
   Alcotest.(check bool) "compact fsyncs the directory" true
     (Persist.dir_fsync_count () > after_ckpt);
-  (* crash-release (no close-time fsync): the renamed files must already
-     be durable on their own *)
+  (* crash-release (no close-time fsync): the renamed log must already be
+     durable on its own *)
   let state = state_of db in
   Persist.crash p;
   let p2 = Persist.open_db dir in
@@ -406,11 +447,6 @@ let test_rename_fsyncs_directory () =
   Persist.close p2
 
 (* --- regression: hostile varint lengths are typed corruption --- *)
-
-let append_bytes path s =
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-  output_string oc s;
-  close_out oc
 
 (* 8 continuation bytes then 0x7f lands bit 62 — negative on 63-bit
    ints; 10 continuation bytes overruns the 56-bit shift bound.  Both
@@ -423,49 +459,35 @@ let poisons =
     ("overlong varint", String.make 10 '\xff');
   ]
 
-let test_log_store_bad_varint_is_corruption () =
-  Testnet.with_temp_dir @@ fun dir ->
-  let p = Persist.open_db dir in
-  let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
-  Persist.close p;
-  let log = Filename.concat dir "chunks.log" in
-  let orig = Filename.concat dir "chunks.orig" in
-  copy_file log orig;
+(* Each poison appended to [file] makes the store refuse to open with
+   [Bad_log]. *)
+let check_poisoned dir file =
+  let orig = In_channel.with_open_bin file In_channel.input_all in
   List.iter
     (fun (label, poison) ->
-      copy_file orig log;
-      append_bytes log poison;
+      Out_channel.with_open_bin file (fun oc -> output_string oc (orig ^ poison));
       match Persist.open_db dir with
-      | exception Persist.Corrupt_db (Persist.Bad_chunk_log _) -> ()
+      | exception Persist.Corrupt_db (Persist.Bad_log _) -> ()
       | exception e ->
           Alcotest.failf "%s: unexpected exception %s" label
             (Printexc.to_string e)
       | p ->
           Persist.close p;
-          Alcotest.failf "%s: poisoned chunk log accepted" label)
+          Alcotest.failf "%s: poisoned %s accepted" label file)
     poisons
 
+let test_log_store_bad_varint_is_corruption () =
+  Testnet.with_temp_dir @@ fun dir ->
+  one_put_store dir;
+  check_poisoned dir (log_path dir)
+
+(* The same headers in a two-file store's journal, read once by the
+   conversion on open. *)
 let test_journal_bad_varint_is_corruption () =
   Testnet.with_temp_dir @@ fun dir ->
-  let p = Persist.open_db dir in
-  let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
-  Persist.close p;
-  let jpath = Filename.concat dir "branches.journal" in
-  let orig = Filename.concat dir "journal.orig" in
-  copy_file jpath orig;
-  List.iter
-    (fun (label, poison) ->
-      copy_file orig jpath;
-      append_bytes jpath poison;
-      match Persist.open_db dir with
-      | exception Persist.Corrupt_db (Persist.Bad_journal _) -> ()
-      | exception e ->
-          Alcotest.failf "%s: unexpected exception %s" label
-            (Printexc.to_string e)
-      | p ->
-          Persist.close p;
-          Alcotest.failf "%s: poisoned journal accepted" label)
-    poisons
+  one_put_store dir;
+  to_two_file_layout dir;
+  check_poisoned dir (Filename.concat dir "branches.journal")
 
 (* --- deferred sync (the group-commit hook): no per-op fsync, explicit
    sync drains, clean close still recovers --- *)
@@ -491,22 +513,6 @@ let test_deferred_sync () =
     (state_of (Persist.db p2) = final);
   Persist.close p2
 
-let test_db_level_sync_every () =
-  Testnet.with_temp_dir @@ fun dir ->
-  (* exposed knobs accepted and still safe on close *)
-  let p = Persist.open_db ~sync_every:1 ~journal_sync_every:64 dir in
-  let db = Persist.db p in
-  for i = 1 to 10 do
-    let (_ : Cid.t) = Db.put db ~key:"k" (Db.str (string_of_int i)) in
-    ()
-  done;
-  let final = state_of db in
-  Persist.close p;
-  let p2 = Persist.open_db dir in
-  Alcotest.(check bool) "batched journal still recovers on clean close" true
-    (state_of (Persist.db p2) = final);
-  Persist.close p2
-
 let () =
   Random.self_init ();
   Alcotest.run "persist"
@@ -517,13 +523,14 @@ let () =
           Alcotest.test_case "checkpoint + reopen" `Quick test_checkpoint_and_reopen;
           Alcotest.test_case "missing head" `Quick test_missing_head_is_corruption;
           Alcotest.test_case "garbled journal" `Quick test_garbled_journal_is_corruption;
-          Alcotest.test_case "db-level sync_every" `Quick test_db_level_sync_every;
           Alcotest.test_case "failed open leaks no fds" `Quick
             test_failed_open_leaks_no_fds;
           Alcotest.test_case "bad chunk-log varint" `Quick
             test_log_store_bad_varint_is_corruption;
           Alcotest.test_case "bad journal varint" `Quick
             test_journal_bad_varint_is_corruption;
+          Alcotest.test_case "two-file store opens" `Quick
+            test_two_file_store_opens;
           Alcotest.test_case "cached chunk rot found by fsck" `Quick
             test_cached_chunk_rot_found_by_fsck;
         ] );
@@ -542,9 +549,7 @@ let () =
         ] );
       ( "torn-tail",
         [
-          Alcotest.test_case "chunk log, every offset" `Quick
-            test_log_store_torn_tail_every_offset;
-          Alcotest.test_case "branch journal, every offset" `Quick
-            test_journal_torn_tail_every_offset;
+          Alcotest.test_case "one log, every offset" `Quick
+            test_one_log_torn_tail_every_offset;
         ] );
     ]

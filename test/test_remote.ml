@@ -503,26 +503,12 @@ let test_idle_timeout () =
 
 (* --- the event loop's clock is injected, not wall time --- *)
 
-let spawn_server_now ?config ~now () =
-  let listen_fd = Server.listen ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
-      let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
-      (try ignore (Server.serve ~now ?config db listen_fd : Server.counters)
-       with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
-
 let with_server_now ?config ~now f =
-  let port, pid = spawn_server_now ?config ~now () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] pid))
-    (fun () -> f port)
+  Testnet.with_proc
+    (Fbremote.Procs.spawn (fun listen_fd ->
+         let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
+         ignore (Server.serve ~now ?config db listen_fd : Server.counters)))
+    f
 
 (* With a frozen clock, no amount of real elapsed time ages a
    connection: idle reaping must be driven by the injected time source
@@ -576,29 +562,10 @@ let test_stepping_clock_reaps () =
 
 module Persist = Fbpersist.Persist
 
-let spawn_group_commit_server ~dir () =
-  let listen_fd = Server.listen ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
-      let p = Persist.open_db ~journal_sync_every:1 dir in
-      Persist.set_deferred_sync p true;
-      (try
-         ignore
-           (Server.serve
-              ~group_commit:(fun () -> Persist.sync p)
-              (Persist.db p) listen_fd
-             : Server.counters)
-       with _ -> ());
-      (try Persist.close p with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
-
 let test_group_commit () =
   Testnet.with_temp_dir @@ fun dir ->
-  let port, server_pid = spawn_group_commit_server ~dir () in
+  let server = Fbreplica.Proc.spawn_primary ~dir () in
+  let port = Fbremote.Procs.port server in
   let writers = 4 and puts_each = 25 in
   let pids =
     List.init writers (fun id ->
@@ -631,7 +598,7 @@ let test_group_commit () =
     (s.Wire.group_commits <= s.Wire.acks_released);
   Client.quit_server c;
   Client.close c;
-  ignore (Unix.waitpid [] server_pid);
+  Fbremote.Procs.reap server;
   (* every acknowledged write is on disk *)
   let p = Persist.open_db dir in
   let db = Persist.db p in
@@ -647,13 +614,7 @@ let test_group_commit () =
   Persist.close p
 
 let with_group_commit_server f =
-  Testnet.with_temp_dir @@ fun dir ->
-  let port, server_pid = spawn_group_commit_server ~dir () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] server_pid))
-    (fun () -> f port)
+  Testnet.with_temp_dir @@ fun dir -> Testnet.with_primary dir f
 
 (* A Blob put onto a Blob head re-chunks only around what changed: one
    64-byte overwrite of a 64 KiB page stores a handful of chunks (a full

@@ -17,7 +17,11 @@ module Splitmix = Fbutil.Splitmix
 let with_temp_dir = Testnet.with_temp_dir
 let with_temp_dirs2 = Testnet.with_temp_dirs2
 
-let journal_path dir = Filename.concat dir "branches.journal"
+let log_path dir = Filename.concat dir "chunks.log"
+
+(* Decoded pull: the entry bodies a primary ships, as records. *)
+let pull p ~from_seq ~max_entries =
+  List.map Journal.decode_entry (Persist.pull_entries p ~from_seq ~max_entries)
 
 (* --- sequence numbering at the persist layer --- *)
 
@@ -35,18 +39,18 @@ let test_seq_assignment_and_recovery () =
   Persist.close p;
   let p2 = Persist.open_db dir in
   Alcotest.(check int) "seq recovered on reopen" 3 (Persist.journal_seq p2);
-  (* the sequence survives checkpoint rotation: the snapshot entry is
-     stamped with the last covered seq *)
+  (* the sequence survives a checkpoint: the snapshot entry is stamped
+     with the last covered seq *)
   Persist.checkpoint p2;
   Alcotest.(check int) "seq survives rotation" 3 (Persist.journal_seq p2);
-  (match Persist.pull_entries p2 ~from_seq:0 ~max_entries:100 with
+  (match pull p2 ~from_seq:0 ~max_entries:100 with
   | [ (3, [ Journal.Checkpoint _ ]) ] -> ()
   | entries ->
       Alcotest.fail
         (Printf.sprintf "expected one checkpoint entry at seq 3, got %d entries"
            (List.length entries)));
   Alcotest.(check int) "caught-up pull is empty" 0
-    (List.length (Persist.pull_entries p2 ~from_seq:3 ~max_entries:100));
+    (List.length (pull p2 ~from_seq:3 ~max_entries:100));
   let (_ : Cid.t) = Db.put (Persist.db p2) ~key:"k" (Db.str "v3") in
   Alcotest.(check int) "post-rotation ops continue the sequence" 4
     (Persist.journal_seq p2);
@@ -68,32 +72,24 @@ let test_pull_entries_bounds () =
   let seqs entries = List.map fst entries in
   Alcotest.(check (list int)) "strictly after from_seq, bounded"
     [ 4; 5; 6 ]
-    (seqs (Persist.pull_entries p ~from_seq:3 ~max_entries:3));
+    (seqs (pull p ~from_seq:3 ~max_entries:3));
   Alcotest.(check (list int)) "tail from the middle" [ 9; 10 ]
-    (seqs (Persist.pull_entries p ~from_seq:8 ~max_entries:100));
+    (seqs (pull p ~from_seq:8 ~max_entries:100));
   Persist.close p
-
-let copy_file src dst =
-  let ic = open_in_bin src and oc = open_out_bin dst in
-  let len = in_channel_length ic in
-  let buf = Bytes.create len in
-  really_input ic buf 0 len;
-  output_bytes oc buf;
-  close_in ic;
-  close_out oc
 
 let test_apply_replicated_semantics () =
   with_temp_dirs2 @@ fun dir1 dir2 ->
   let p1 = Persist.open_db dir1 in
   let (_ : Cid.t) = Db.put (Persist.db p1) ~key:"k" (Db.str "v1") in
   let (_ : Cid.t) = Db.put (Persist.db p1) ~key:"k" (Db.str "v2") in
-  let entries = Persist.pull_entries p1 ~from_seq:0 ~max_entries:100 in
+  let entries = pull p1 ~from_seq:0 ~max_entries:100 in
   Alcotest.(check int) "two entries" 2 (List.length entries);
-  (* seed the follower's chunk store with the primary's chunk log — this
+  (* seed the follower's chunk store with the primary's chunks — this
      test exercises the sequencing rules, not the network backfill *)
-  Persist.sync p1;
-  copy_file (Filename.concat dir1 "chunks.log") (Filename.concat dir2 "chunks.log");
   let p2 = Persist.open_db dir2 in
+  let (_ : int * int) =
+    Forkbase.Gc.sweep (Persist.db p1) ~into:(Db.store (Persist.db p2))
+  in
   (* gapless mutation entries apply; a gap is refused *)
   (match entries with
   | [ (1, r1); (2, r2) ] ->
@@ -111,7 +107,7 @@ let test_apply_replicated_semantics () =
   (* a checkpoint-snapshot entry may jump the sequence *)
   Persist.checkpoint p1;
   let (_ : Cid.t) = Db.put (Persist.db p1) ~key:"k" (Db.str "v3") in
-  (match Persist.pull_entries p1 ~from_seq:0 ~max_entries:1 with
+  (match pull p1 ~from_seq:0 ~max_entries:1 with
   | [ (2, ([ Journal.Checkpoint _ ] as snap)) ] ->
       (* deliver it to a fresh follower that is far behind *)
       with_temp_dir (fun dir3 ->
@@ -330,10 +326,10 @@ let test_follower_crash_recovers_and_reconverges () =
   let seq_at_crash = Replica.seq f in
   Alcotest.(check bool) "some entries applied before the crash" true
     (seq_at_crash > 0);
-  (* kill the follower without fsync and tear its local journal tail, as
-     a crash mid-append would *)
+  (* kill the follower without fsync and tear its log tail (the last
+     entry record), as a crash mid-append would *)
   Replica.crash f;
-  Fbcheck.Failpoint.tear_file (journal_path fdir) ~drop:3;
+  Fbcheck.Failpoint.tear_file (log_path fdir) ~drop:3;
   (* the primary keeps writing while the follower is down *)
   for i = 26 to 50 do
     random_wire_op rng c i
@@ -564,8 +560,8 @@ let test_promotion_under_concurrent_writes () =
 
 (* `forkbase gc --dry-run` (Persist.garbage_stats) must be a pure
    measurement: a follower parked at seq 0 can still pull every mutation
-   entry afterwards.  The real sweep rotates the journal, after which the
-   same pull position is answered with a single snapshot entry. *)
+   entry afterwards.  The real sweep compacts the log down to a snapshot,
+   after which the same pull position is answered with a single snapshot entry. *)
 let test_gc_dry_run_preserves_catch_up () =
   with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
@@ -590,7 +586,7 @@ let test_gc_dry_run_preserves_catch_up () =
   let gchunks, gbytes = Persist.garbage_stats p in
   Alcotest.(check bool) "orphaned values are garbage" true
     (gchunks > 0 && gbytes > 0);
-  let entries = Persist.pull_entries p ~from_seq:0 ~max_entries:1000 in
+  let entries = pull p ~from_seq:0 ~max_entries:1000 in
   Alcotest.(check int) "dry run left every mutation entry pullable" seq
     (List.length entries);
   Alcotest.(check bool) "dry run forced no snapshot" true
@@ -603,7 +599,7 @@ let test_gc_dry_run_preserves_catch_up () =
   let chunks, _bytes = Persist.compact p in
   Alcotest.(check bool) "real gc reclaimed the measured garbage" true
     (chunks >= gchunks);
-  match Persist.pull_entries p ~from_seq:0 ~max_entries:1000 with
+  match pull p ~from_seq:0 ~max_entries:1000 with
   | [ (s, [ Journal.Checkpoint _ ]) ] ->
       Alcotest.(check int) "snapshot stamped with the covered seq" seq s
   | _ -> Alcotest.fail "expected a single snapshot entry after gc"

@@ -481,6 +481,16 @@ let test_value_kind_bytes () =
         (Value.kind_of_byte (Value.kind_to_byte k) = k))
     [ Value.Kprim; Value.Kblob; Value.Klist; Value.Kmap; Value.Kset ]
 
+(* Building a Set or a Map stores exactly the chunks its tree references:
+   a put of each leaves nothing for a sweep to reclaim. *)
+let test_containers_leave_no_garbage () =
+  let module Db = Forkbase.Db in
+  let db = Db.create (fresh ()) in
+  let (_ : Fbchunk.Cid.t) = Db.put db ~key:"s" (Db.set db [ "a" ]) in
+  let (_ : Fbchunk.Cid.t) = Db.put db ~key:"m" (Db.map db [ ("k", "v") ]) in
+  Alcotest.(check (pair int int)) "garbage (chunks, bytes)" (0, 0)
+    (Forkbase.Gc.garbage_stats db)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "types"
@@ -523,5 +533,7 @@ let () =
         [
           Alcotest.test_case "payload roundtrip" `Quick test_value_roundtrip;
           Alcotest.test_case "kind bytes" `Quick test_value_kind_bytes;
+          Alcotest.test_case "containers leave no garbage" `Quick
+            test_containers_leave_no_garbage;
         ] );
     ]
