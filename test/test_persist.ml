@@ -278,6 +278,74 @@ let test_garbled_journal_is_corruption () =
 
 (* --- torn-tail property: every byte offset of the log --- *)
 
+let write_prefix ~src ~dst cut =
+  let s = In_channel.with_open_bin src In_channel.input_all in
+  Out_channel.with_open_bin dst (fun oc -> output_string oc (String.sub s 0 cut))
+
+(* Chunk records: appending [n] chunks then truncating anywhere inside
+   the final record recovers exactly the first [n - 1] chunks. *)
+let test_log_store_torn_tail_every_offset () =
+  Testnet.with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "chunks.log" in
+  let chunk i =
+    Fbchunk.Chunk.v Fbchunk.Chunk.Blob
+      (Printf.sprintf "payload-%d-%s" i (String.make (50 + i) 'p'))
+  in
+  let log = Log_store.open_ path in
+  let s = Log_store.store log in
+  let cids = List.init 8 (fun i -> s.Store.put (chunk i)) in
+  Log_store.close log;
+  let full = (Unix.stat path).Unix.st_size in
+  let record_start, _ = List.nth (Log_store.records path) 7 in
+  let committed = List.filteri (fun i _ -> i < 7) cids in
+  let torn = List.nth cids 7 in
+  let scratch = Filename.concat dir "scratch.log" in
+  for cut = record_start to full - 1 do
+    write_prefix ~src:path ~dst:scratch cut;
+    let log2 = Log_store.open_ scratch in
+    let s2 = Log_store.store log2 in
+    List.iteri
+      (fun i cid ->
+        match s2.Store.get cid with
+        | Some c ->
+            Alcotest.(check bool) "committed chunk content" true (c = chunk i)
+        | None -> Alcotest.fail (Printf.sprintf "chunk %d lost at cut %d" i cut))
+      committed;
+    Alcotest.(check int)
+      (Printf.sprintf "exactly the committed prefix at cut %d" cut)
+      7 (s2.Store.stats ()).Store.chunks;
+    Alcotest.(check bool) "torn chunk dropped" true (s2.Store.get torn = None);
+    Log_store.close log2
+  done
+
+(* Journal entries: truncating anywhere inside the records of the final
+   operation (its chunks, then its entry) makes reopen recover exactly
+   the state before that operation. *)
+let test_journal_torn_tail_every_offset () =
+  Testnet.with_temp_dirs2 @@ fun dir scratch ->
+  let p = Persist.open_db dir in
+  let db = Persist.db p in
+  let (_ : Cid.t) = workload db in
+  let committed_state = state_of db in
+  let size_before_last = Persist.log_size p in
+  (* the final operation: a put that both records an object and moves a
+     branch head *)
+  let (_ : Cid.t) = Db.put db ~key:"page" (Db.str "final-op") in
+  let final_state = state_of db in
+  Persist.close p;
+  let full = (Unix.stat (log_path dir)).Unix.st_size in
+  Alcotest.(check bool) "final entry appended" true (full > size_before_last);
+  for cut = size_before_last to full do
+    write_prefix ~src:(log_path dir) ~dst:(log_path scratch) cut;
+    let p2 = Persist.open_db scratch in
+    let got = state_of (Persist.db p2) in
+    let expect = if cut = full then final_state else committed_state in
+    Alcotest.(check bool)
+      (Printf.sprintf "committed prefix at cut %d" cut)
+      true (got = expect);
+    Persist.close p2
+  done
+
 (* Operations whose records interleave chunks with mutation and snapshot
    entries; each returns once its entry (if any) is the last record. *)
 let interleaved_ops p =
@@ -549,6 +617,10 @@ let () =
         ] );
       ( "torn-tail",
         [
+          Alcotest.test_case "chunk log, every offset" `Quick
+            test_log_store_torn_tail_every_offset;
+          Alcotest.test_case "branch journal, every offset" `Quick
+            test_journal_torn_tail_every_offset;
           Alcotest.test_case "one log, every offset" `Quick
             test_one_log_torn_tail_every_offset;
         ] );
