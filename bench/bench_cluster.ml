@@ -152,11 +152,10 @@ let fork_workers w body =
         | _ -> failwith "bench worker failed")
       pids
 
-let put_throughput ~group_commit ~shards ~workers ~ops_per_worker ~value_bytes
-    =
+let put_throughput ~shards ~workers ~ops_per_worker ~value_bytes =
   Bench_util.with_temp_dir @@ fun scratch ->
   let dirs = shard_dirs scratch shards in
-  let procs, map = Shard.spawn_cluster ~group_commit ~dirs () in
+  let procs, map = Shard.spawn_cluster ~dirs () in
   Fun.protect ~finally:(fun () -> List.iter Procs.kill procs) @@ fun () ->
   let value = String.make value_bytes 'x' in
   let t0 = Bench_util.now () in
@@ -320,10 +319,9 @@ let sharded scale =
      curve a cluster of these measured processes reaches when each
      shard has its own core.  This host has one core and one flush
      queue, so all-local process measurements serialize on CPU and
-     device flushes no matter the topology; those raw one-core curves
-     are reported below as [sharded_put_tput_1core*_N], in both
-     durability regimes, so the local reality stays visible next to
-     the projection. *)
+     device flushes no matter the topology; the raw one-core curve is
+     reported below as [sharded_put_tput_1core_gc_N], so the local
+     reality stays visible next to the projection. *)
   let service = measured_put_service ~ops:(Bench_util.pick scale 500 3_000)
       ~value_bytes in
   Bench_util.subsection
@@ -363,47 +361,30 @@ let sharded scale =
           Printf.sprintf "%.2fx" (tput /. !base);
         ])
     [ 1; 2; 4 ];
-  (* Raw one-core measurements, two durability regimes: per-op fsync
-     (shards overlap disk waits — until the device's flush queue
-     serializes) and group commit (a single server amortizes one fsync
-     over every connection, so sharding only splits the batch).  Kept
+  (* Raw one-core measurements: a single server amortizes one group-commit
+     fsync over every connection, so sharding only splits the batch.  Kept
      measured, not assumed. *)
+  Bench_util.subsection "one core, group commit (batched fsyncs)";
+  Bench_util.row_header [ "#shards"; "put throughput (Kops/s)"; "speedup" ];
+  let ops_per_worker = Bench_util.pick scale 1_500 10_000 in
+  let base = ref 0.0 in
   List.iter
-    (fun (label, group_commit, suffix, ops_per_worker) ->
-      Bench_util.subsection label;
-      Bench_util.row_header [ "#shards"; "put throughput (Kops/s)"; "speedup" ];
-      let base = ref 0.0 in
-      List.iter
-        (fun shards ->
-          let tput =
-            put_throughput ~group_commit ~shards ~workers ~ops_per_worker
-              ~value_bytes
-          in
-          if shards = 1 then base := tput;
-          Bench_json.metric
-            ~name:(Printf.sprintf "sharded_put_tput_1core%s_%d" suffix shards)
-            ~value:tput ~unit:"ops/s";
-          Bench_json.metric
-            ~name:
-              (Printf.sprintf "sharded_put_speedup_1core%s_%d" suffix shards)
-            ~value:(tput /. !base) ~unit:"x";
-          Bench_util.row
-            [
-              string_of_int shards;
-              Printf.sprintf "%.1f" (tput /. 1000.0);
-              Printf.sprintf "%.2fx" (tput /. !base);
-            ])
-        [ 1; 2; 4 ])
-    [
-      ( "one core, per-op durability (fsync per put)",
-        false,
-        "",
-        Bench_util.pick scale 300 2_000 );
-      ( "one core, group commit (batched fsyncs)",
-        true,
-        "_gc",
-        Bench_util.pick scale 1_500 10_000 );
-    ];
+    (fun shards ->
+      let tput = put_throughput ~shards ~workers ~ops_per_worker ~value_bytes in
+      if shards = 1 then base := tput;
+      Bench_json.metric
+        ~name:(Printf.sprintf "sharded_put_tput_1core_gc_%d" shards)
+        ~value:tput ~unit:"ops/s";
+      Bench_json.metric
+        ~name:(Printf.sprintf "sharded_put_speedup_1core_gc_%d" shards)
+        ~value:(tput /. !base) ~unit:"x";
+      Bench_util.row
+        [
+          string_of_int shards;
+          Printf.sprintf "%.1f" (tput /. 1000.0);
+          Printf.sprintf "%.2fx" (tput /. !base);
+        ])
+    [ 1; 2; 4 ];
   Bench_util.subsection
     "chaos: SIGKILL+respawn and a live rebalance under a writer";
   let ops = Bench_util.pick scale 3_000 12_000 in

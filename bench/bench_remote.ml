@@ -1,7 +1,8 @@
-(* Multi-client serving throughput over the real TCP server: the baseline
-   for future sharded/replicated serving work.  One server process runs
-   the select event loop over an in-memory db; 1/4/16 concurrent client
-   processes each run a closed-loop put+get workload on private keys. *)
+(* Multi-client serving throughput over the real TCP server.  One server
+   process runs the select event loop over an in-memory db; 1/4/16
+   concurrent client processes each run a closed-loop put+get workload on
+   private keys.  The durable served path (group-commit fsyncs, acks per
+   fsync) is measured by perfbench's kv workload. *)
 
 module Server = Fbremote.Server
 module Client = Fbremote.Client
@@ -52,45 +53,6 @@ let run_experiment ~clients ~total_ops ~value_size =
   let done_ops = clients * (ops / 2) * 2 in
   (float_of_int done_ops /. elapsed, stats)
 
-(* Durable-write throughput: [clients] concurrent writers against a
-   primary over a durable store, every put journaled and fsynced before
-   its ack.  Compares per-op fsync against group commit (one fsync per
-   event-loop round, shared by the round's writers). *)
-let run_durable ~clients ~total_ops ~value_size ~group_commit =
-  Bench_util.with_temp_dir @@ fun dir ->
-  let server = Fbreplica.Proc.spawn_primary ~group_commit ~dir () in
-  let port = Procs.port server in
-  let ops = total_ops / clients in
-  let elapsed, () =
-    Bench_util.time_it (fun () ->
-        let pids =
-          List.init clients (fun id ->
-              match Unix.fork () with
-              | 0 ->
-                  (try
-                     let c = Client.connect ~retries:20 ~port () in
-                     let key = Printf.sprintf "bench-%d" id in
-                     let payload = String.make value_size 'x' in
-                     for i = 1 to ops do
-                       let (_ : Fbchunk.Cid.t) =
-                         Client.put c ~key (Wire.Str (payload ^ string_of_int i))
-                       in
-                       ()
-                     done;
-                     Client.close c
-                   with _ -> ());
-                  Unix._exit 0
-              | pid -> pid)
-        in
-        List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids)
-  in
-  let c = Client.connect ~retries:20 ~port () in
-  let stats = Client.stats c in
-  Client.quit_server c;
-  Client.close c;
-  Procs.reap server;
-  (float_of_int (clients * ops) /. elapsed, stats)
-
 let remote scale =
   Bench_util.section
     "Remote serving: multi-client throughput (select event loop)";
@@ -112,41 +74,4 @@ let remote scale =
           string_of_int s.Wire.frames_in;
           string_of_int s.Wire.closed_err;
         ])
-    [ 1; 4; 16 ];
-
-  Bench_util.section
-    "Durable writes: per-op fsync vs group commit (8 concurrent writers)";
-  let clients = 8 in
-  let durable_ops = Bench_util.pick scale 2_000 16_000 in
-  Bench_util.row_header
-    [ "mode"; "puts/s"; "group_commits"; "acks/sync" ];
-  let baseline, _ =
-    run_durable ~clients ~total_ops:durable_ops ~value_size
-      ~group_commit:false
-  in
-  Bench_util.row
-    [ "fsync per op"; Printf.sprintf "%.0f" baseline; "0"; "-" ];
-  Bench_json.metric ~name:"durable_8_clients_per_op_fsync_tput"
-    ~value:baseline ~unit:"ops/s";
-  let grouped, s =
-    run_durable ~clients ~total_ops:durable_ops ~value_size ~group_commit:true
-  in
-  let acks_per_sync =
-    if s.Wire.group_commits = 0 then 0.
-    else float_of_int s.Wire.acks_released /. float_of_int s.Wire.group_commits
-  in
-  Bench_util.row
-    [
-      "group commit";
-      Printf.sprintf "%.0f" grouped;
-      string_of_int s.Wire.group_commits;
-      Printf.sprintf "%.2f" acks_per_sync;
-    ];
-  Bench_json.metric ~name:"durable_8_clients_group_commit_tput" ~value:grouped
-    ~unit:"ops/s";
-  Bench_json.metric ~name:"group_commit_speedup" ~value:(grouped /. baseline)
-    ~unit:"x";
-  Bench_json.metric ~name:"group_commit_acks_per_sync" ~value:acks_per_sync
-    ~unit:"acks/fsync";
-  Printf.printf "group commit speedup over per-op fsync: %.2fx\n%!"
-    (grouped /. baseline)
+    [ 1; 4; 16 ]

@@ -1,27 +1,18 @@
-(* Replication benchmarks (lib/replica):
-
-   1. Follower catch-up throughput — a primary commits N journaled
-      operations; a cold follower then tails the whole journal over a
-      real socket (pull + chunk backfill + apply).  Reported as applied
-      entries/s, with the chunk-backfill volume.
-
-   2. Read scaling — a fixed read workload against one primary alone,
-      then split across the primary plus a caught-up serving follower.
-      The paper's motivation for followers is exactly this: reads scale
-      out while the primary keeps exclusive ownership of writes. *)
+(* Replication read scaling (lib/replica): a fixed read workload against
+   one primary alone, then split across the primary plus a caught-up
+   serving follower.  The paper's motivation for followers is exactly
+   this: reads scale out while the primary keeps exclusive ownership of
+   writes.  Follower catch-up throughput is measured by perfbench's kv
+   workload ([replica.entries_per_s]). *)
 
 module Cid = Fbchunk.Cid
 module Client = Fbremote.Client
 module Wire = Fbremote.Wire
-module Replica = Fbreplica.Replica
 module Procs = Fbremote.Procs
 module Proc = Fbreplica.Proc
 
-(* The primary fsyncs per operation, as before group commit existed. *)
-let spawn_primary dir = Proc.spawn_primary ~group_commit:false ~dir ()
-
 (* Commit [ops] writes on the primary: small strings plus periodic
-   multi-chunk blobs, so catch-up pays for real chunk backfill. *)
+   multi-chunk blobs, so the follower backfills real chunks. *)
 let load_primary c ~ops ~blob_every ~blob_size =
   for i = 1 to ops do
     let key = Printf.sprintf "k%d" (i mod 50) in
@@ -33,42 +24,6 @@ let load_primary c ~ops ~blob_every ~blob_size =
     in
     ()
   done
-
-let catch_up scale =
-  Bench_util.section "Replication: cold-follower catch-up throughput";
-  let ops = Bench_util.pick scale 2_000 20_000 in
-  Bench_util.row_header
-    [ "ops"; "entries/s"; "chunks_fetched"; "pulls"; "elapsed(s)" ];
-  Bench_util.with_temp_dir @@ fun pdir ->
-  Bench_util.with_temp_dir @@ fun fdir ->
-  let primary = spawn_primary pdir in
-  let port = Procs.port primary in
-  Fun.protect ~finally:(fun () -> Procs.kill primary) @@ fun () ->
-  let c = Client.connect ~retries:20 ~port () in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  load_primary c ~ops ~blob_every:20 ~blob_size:40_000;
-  let f = Replica.open_follower ~dir:fdir ~host:"127.0.0.1" ~port () in
-  Fun.protect ~finally:(fun () -> Replica.close f) @@ fun () ->
-  let elapsed, () =
-    Bench_util.time_it (fun () ->
-        Replica.sync_until_caught_up ~max_rounds:100_000 f)
-  in
-  let k = Replica.counters f in
-  Bench_json.metric ~name:"catch_up_entries_per_sec"
-    ~value:(float_of_int k.Replica.entries_applied /. elapsed)
-    ~unit:"entries/s";
-  Bench_json.metric ~name:"catch_up_chunks_fetched"
-    ~value:(float_of_int k.Replica.chunks_fetched)
-    ~unit:"chunks";
-  Bench_util.row
-    [
-      string_of_int ops;
-      Printf.sprintf "%.0f" (float_of_int k.Replica.entries_applied /. elapsed);
-      string_of_int k.Replica.chunks_fetched;
-      string_of_int k.Replica.pulls;
-      Printf.sprintf "%.2f" elapsed;
-    ];
-  Client.quit_server c
 
 (* One reader process: closed-loop gets against [port]. *)
 let reader_loop ~port ~ops =
@@ -95,7 +50,7 @@ let run_readers ~ports ~readers ~total_ops =
   in
   float_of_int (readers * ops) /. elapsed
 
-let read_scaling scale =
+let replica scale =
   Bench_util.section
     "Replication: read scaling, primary alone vs primary + follower";
   let total_ops = Bench_util.pick scale 4_000 40_000 in
@@ -104,7 +59,7 @@ let read_scaling scale =
     [ "servers"; "readers"; "reads"; "throughput(Kops/s)" ];
   Bench_util.with_temp_dir @@ fun pdir ->
   Bench_util.with_temp_dir @@ fun fdir ->
-  let primary = spawn_primary pdir in
+  let primary = Proc.spawn_primary ~dir:pdir () in
   let pport = Procs.port primary in
   Fun.protect ~finally:(fun () -> Procs.kill primary) @@ fun () ->
   let c = Client.connect ~retries:20 ~port:pport () in
@@ -150,6 +105,3 @@ let read_scaling scale =
   Client.close qc;
   Client.quit_server c
 
-let replica scale =
-  catch_up scale;
-  read_scaling scale

@@ -38,7 +38,7 @@ let experiments :
     ("durability", "persist", "journaled puts, recovery, compaction",
      Bench_persist.durability);
     ("remote", "remote", "multi-client serving throughput", Bench_remote.remote);
-    ("replica", "replica", "follower catch-up + read scaling",
+    ("replica", "replica", "read scaling with a serving follower",
      Bench_replica.replica);
     ("smoke", "smoke", "tiny end-to-end reporter check", Bench_smoke.smoke);
   ]

@@ -56,15 +56,19 @@ let migrate_legacy_heads db dir =
     Sys.rename path (path ^ ".migrated")
   end
 
-let with_store f =
-  let dir = data_dir () in
-  match Persist.open_db dir with
+(* Every command that opens FORKBASE_DIR reports a corrupt store the same
+   way: one error line, exit 1. *)
+let open_or_die open_ =
+  match open_ (data_dir ()) with
   | exception Persist.Corrupt_db c ->
       Printf.eprintf "error: %s\n" (Persist.corruption_to_string c);
       exit 1
-  | p ->
-      migrate_legacy_heads (Persist.db p) dir;
-      Fun.protect ~finally:(fun () -> Persist.close p) (fun () -> f p)
+  | v -> v
+
+let with_store f =
+  let p = open_or_die Persist.open_db in
+  migrate_legacy_heads (Persist.db p) (data_dir ());
+  Fun.protect ~finally:(fun () -> Persist.close p) (fun () -> f p)
 
 let with_db f = with_store (fun p -> f (Persist.db p))
 
@@ -325,44 +329,23 @@ let server_config_term ~default_port =
         $ max_frame_bytes_arg)
 
 let serve_cmd =
-  let run (port, config) no_group_commit =
+  let run (port, config) =
     with_store @@ fun p ->
     let listen_fd = Fbremote.Server.listen ~port () in
     Printf.printf "forkbase server listening on 127.0.0.1:%d (data in %s)\n%!"
       (Fbremote.Server.bound_port listen_fd)
       (data_dir ());
-    (* Group commit (default): the event loop batches concurrent writers'
-       journal fsyncs into one per round, holding their acks until it. *)
-    let group_commit =
-      if no_group_commit then None
-      else begin
-        Persist.set_deferred_sync p true;
-        Some (fun () -> Persist.sync p)
-      end
-    in
-    let k =
-      Fbremote.Server.serve ~config
-        ~checkpoint:(fun () -> Persist.compact p)
-        ~journal:(Fbreplica.Replica.journal_hooks p)
-        ?group_commit (Persist.db p) listen_fd
-    in
+    let k = Fbreplica.Proc.serve_primary ~config p listen_fd in
     Printf.printf "server stopped.\n";
     print_conn_counters k
   in
-  let no_group_commit_arg =
-    Arg.(
-      value & flag
-      & info [ "no-group-commit" ]
-          ~doc:"Fsync the journal per operation instead of batching \
-                concurrent writers' fsyncs into one per event-loop round \
-                (group commit).  Per-ack durability is identical either \
-                way; group commit is just faster under concurrency.")
-  in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"run a network server over this store (stops on a Quit request)")
-    Term.(const run $ server_config_term ~default_port:7878
-          $ no_group_commit_arg)
+       ~doc:
+         "run a network server over this store (stops on a Quit request); \
+          concurrent writers' fsyncs are batched into one per event-loop \
+          round (group commit), each ack still waiting for its fsync")
+    Term.(const run $ server_config_term ~default_port:7878)
 
 let stats_cmd =
   let run port =
@@ -452,8 +435,8 @@ let follow_cmd =
   let run primary (port, config) =
     let host, primary_port = parse_host_port primary in
     let f =
-      Fbreplica.Replica.open_follower ~dir:(data_dir ()) ~host
-        ~port:primary_port ()
+      open_or_die (fun dir ->
+          Fbreplica.Replica.open_follower ~dir ~host ~port:primary_port ())
     in
     Fun.protect ~finally:(fun () -> Fbreplica.Replica.close f) @@ fun () ->
     let listen_fd = Fbremote.Server.listen ~port () in
@@ -605,7 +588,7 @@ let die_bad_map f =
       exit 2
 
 let shard_cmd =
-  let run index map_str port no_group_commit =
+  let run index map_str port =
     let addrs = die_bad_map (fun () -> Shard_map.parse_addrs map_str) in
     let map = Shard_map.create ~version:1 addrs in
     if index < 0 then begin
@@ -627,16 +610,14 @@ let shard_cmd =
             index (Shard_map.n map);
           exit 2
     in
+    with_store @@ fun p ->
     let listen_fd = Fbremote.Server.listen ~port () in
     Printf.printf
       "forkbase shard %d/%d listening on 127.0.0.1:%d (data in %s)\n%!" index
       (Shard_map.n map)
       (Fbremote.Server.bound_port listen_fd)
       (data_dir ());
-    let k =
-      Shard.serve ~group_commit:(not no_group_commit) ~dir:(data_dir ())
-        ~self:index ~map listen_fd
-    in
+    let k = Shard.serve ~self:index ~map p listen_fd in
     Printf.printf "shard stopped.\n";
     print_conn_counters k
   in
@@ -664,9 +645,6 @@ let shard_cmd =
       & info [ "p"; "port" ] ~docv:"PORT"
           ~doc:"Listen port (default: this shard's port in --map).")
   in
-  let no_group_commit_arg =
-    Arg.(value & flag & info [ "no-group-commit" ])
-  in
   Cmd.v
     (Cmd.info "shard"
        ~doc:
@@ -674,7 +652,7 @@ let shard_cmd =
           the partition map homes here are served (others are redirected to \
           their owner; keys fenced mid-rebalance answer retry), and the map \
           itself is served, installed, and persisted as a versioned artifact")
-    Term.(const run $ index_arg $ map_arg $ port_arg $ no_group_commit_arg)
+    Term.(const run $ index_arg $ map_arg $ port_arg)
 
 let cluster_status_cmd =
   let run via =

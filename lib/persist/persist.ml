@@ -6,7 +6,9 @@
      1. chunks appended to the log (buffered),
      2. the operation's branch records appended after them as one entry
         record, and the log flushed to the OS: chunks and entry together,
-     3. every [journal_sync_every] operations, one fsync of the log.
+     3. one fsync of the log, unless deferred sync is on: then the
+        network server's group commit fsyncs once for every operation
+        of an event-loop round before it acknowledges any of them.
    File order is the write-ahead order: an entry never refers to a chunk
    later in the file, so a torn tail can only drop an entry together with
    (or after) the chunks it needs, for process crashes and power loss
@@ -40,7 +42,6 @@ type t = {
   db : Db.t;
   set_store : Store.t -> unit;
   mutable log : Log_store.t;
-  journal_sync_every : int;
   mutable deferred_sync : bool;
   mutable unsynced_ops : int;
   mutable seq : int;  (* sequence of the last committed entry *)
@@ -91,11 +92,7 @@ let append t ~seq records =
 let commit t ~seq records =
   append t ~seq records;
   t.unsynced_ops <- t.unsynced_ops + 1;
-  if
-    (not t.deferred_sync)
-    && t.journal_sync_every > 0
-    && t.unsynced_ops >= t.journal_sync_every
-  then sync t
+  if not t.deferred_sync then sync t
 
 let on_mutation t muts =
   commit t ~seq:(t.seq + 1) (List.map (fun m -> Journal.Mutation m) muts)
@@ -151,7 +148,7 @@ let import_legacy_journal dir log ~last_seq ~note =
     fsync_dir dir
   end
 
-let open_db ?cfg ?acl ?(journal_sync_every = 1) ?wrap_store ?recovery_check dir =
+let open_db ?cfg ?acl ?wrap_store ?recovery_check dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   (* Leftovers from a compaction (or an old-layout checkpoint) that crashed
      before its atomic rename are dead weight: remove them. *)
@@ -198,7 +195,6 @@ let open_db ?cfg ?acl ?(journal_sync_every = 1) ?wrap_store ?recovery_check dir 
       db;
       set_store;
       log;
-      journal_sync_every;
       deferred_sync = false;
       unsynced_ops = 0;
       (* sequences are assigned monotonically, so the last entry holds the

@@ -37,7 +37,6 @@ type t
 val open_db :
   ?cfg:Fbtree.Tree_config.t ->
   ?acl:(key:string -> branch:string option -> Forkbase.Db.access -> bool) ->
-  ?journal_sync_every:int ->
   ?wrap_store:(Fbchunk.Chunk_store.t -> Fbchunk.Chunk_store.t) ->
   ?recovery_check:(Forkbase.Db.t -> unit) ->
   string ->
@@ -50,11 +49,9 @@ val open_db :
     the log) is converted on open: the journal's entries the log lacks
     are appended, the log is fsynced, and the journal file is deleted.
 
-    [journal_sync_every] is the fsync batch in {e operations} (default 1:
-    every operation is durable against power loss when it returns; raise
-    it to trade durability lag for throughput — entries are still flushed
-    to the OS per operation, so a process crash loses nothing either
-    way).  Apart from that batch, only {!sync}, {!checkpoint},
+    Every operation is fsynced before it returns, so it is durable
+    against power loss (see {!set_deferred_sync} for the served store's
+    group commit).  Apart from that, only {!sync}, {!checkpoint},
     {!compact} and {!close} fsync; no chunk put does.
 
     [wrap_store] wraps the database's view of the chunk store (between the
@@ -79,14 +76,13 @@ val sync : t -> unit
 (** Force the log to disk: one fsync. *)
 
 val set_deferred_sync : t -> bool -> unit
-(** Group-commit mode: with deferred sync on, the per-operation
-    [journal_sync_every] auto-fsync is suppressed — operations are still
-    flushed to the OS per entry (process-crash safe), but power-loss
-    durability waits for an explicit {!sync}.  The network server uses
-    this to batch many concurrent writers behind one fsync per event-loop
-    round, holding their acknowledgements until the shared {!sync}
-    returns; per-{e ack} durability is therefore unchanged.  Off by
-    default. *)
+(** Group-commit mode: with deferred sync on, the per-operation fsync
+    is suppressed — operations are still flushed to the OS per entry
+    (process-crash safe), but power-loss durability waits for an explicit
+    {!sync}.  {!Fbreplica.Proc.serve_primary} turns it on to batch many
+    concurrent writers behind one fsync per event-loop round, holding
+    their acknowledgements until the shared {!sync} returns; per-{e ack}
+    durability is therefore unchanged.  Off by default. *)
 
 val unsynced_ops : t -> int
 (** Operations journaled since the last fsync — what one {!sync} would

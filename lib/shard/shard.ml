@@ -2,7 +2,6 @@ module Persist = Fbpersist.Persist
 module Server = Fbremote.Server
 module Procs = Fbremote.Procs
 module Partition = Fbcluster.Partition
-module Replica = Fbreplica.Replica
 
 let route ~servlets key = Partition.servlet_of_key ~servlets key
 
@@ -16,35 +15,25 @@ let effective_map ~dir map =
       persisted
   | Some _ | None -> map
 
-let serve ?config ?(group_commit = true) ~dir ~self ~map listen_fd =
-  let p = Persist.open_db dir in
-  let gc_hook =
-    if group_commit then begin
-      Persist.set_deferred_sync p true;
-      Some (fun () -> Persist.sync p)
-    end
-    else None
-  in
+let serve ?config ~self ~map p listen_fd =
+  let dir = Persist.dir p in
   let shard =
     Server.shard_role ~self ~route
       ~persist_map:(fun m -> Shard_map.save ~dir m)
       (effective_map ~dir map)
   in
-  let counters =
-    Server.serve ?config
-      ~checkpoint:(fun () -> Persist.compact p)
-      ~journal:(Replica.journal_hooks p)
-      ~shard ?group_commit:gc_hook (Persist.db p) listen_fd
-  in
-  Persist.close p;
-  counters
+  Fbreplica.Proc.serve_primary ?config ~shard p listen_fd
 
-let spawn ?port ?config ?group_commit ~dir ~self ~map () =
-  Procs.spawn ?port (fun listen_fd ->
-      ignore (serve ?config ?group_commit ~dir ~self ~map listen_fd
-        : Server.counters))
+(* A spawned shard's child: open the store, serve, close. *)
+let child ?config ~dir ~self ~map listen_fd =
+  let p = Persist.open_db dir in
+  ignore (serve ?config ~self ~map p listen_fd : Server.counters);
+  Persist.close p
 
-let spawn_cluster ?(host = "127.0.0.1") ?config ?group_commit ~dirs () =
+let spawn ?port ?config ~dir ~self ~map () =
+  Procs.spawn ?port (child ?config ~dir ~self ~map)
+
+let spawn_cluster ?(host = "127.0.0.1") ?config ~dirs () =
   let listeners = List.map (fun _ -> Procs.listener ()) dirs in
   let map =
     Shard_map.create ~version:1
@@ -53,9 +42,7 @@ let spawn_cluster ?(host = "127.0.0.1") ?config ?group_commit ~dirs () =
   let procs =
     List.mapi
       (fun self (dir, listener) ->
-        Procs.spawn_on listener (fun listen_fd ->
-            ignore (serve ?config ?group_commit ~dir ~self ~map listen_fd
-              : Server.counters)))
+        Procs.spawn_on listener (child ?config ~dir ~self ~map))
       (List.combine dirs listeners)
   in
   (procs, map)

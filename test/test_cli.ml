@@ -4,6 +4,7 @@
 
 module Chunk = Fbchunk.Chunk
 module Log_store = Fbchunk.Log_store
+module Client = Fbremote.Client
 
 (* Resolve against the test binary, not the cwd: `dune runtest` runs
    tests from _build/default/test, `dune exec` from the project root. *)
@@ -12,15 +13,17 @@ let exe =
     (Filename.dirname Sys.executable_name)
     "../bin/forkbase_cli.exe"
 
+let env dir =
+  Unix.environment () |> Array.to_list
+  |> List.filter (fun e -> not (String.starts_with ~prefix:"FORKBASE_DIR=" e))
+  |> List.cons ("FORKBASE_DIR=" ^ dir)
+  |> Array.of_list
+
+let argv args = Array.of_list (exe :: args)
+
 let run dir args =
-  let env =
-    Unix.environment () |> Array.to_list
-    |> List.filter (fun e -> not (String.starts_with ~prefix:"FORKBASE_DIR=" e))
-    |> List.cons ("FORKBASE_DIR=" ^ dir)
-    |> Array.of_list
-  in
   let ((out, inp, err) as proc) =
-    Unix.open_process_args_full exe (Array.of_list (exe :: args)) env
+    Unix.open_process_args_full exe (argv args) (env dir)
   in
   close_out inp;
   let stdout = In_channel.input_all out in
@@ -29,6 +32,46 @@ let run dir args =
   | Unix.WEXITED 0 -> stdout
   | _ ->
       Alcotest.failf "forkbase %s failed: %s" (String.concat " " args) stderr
+
+(* The exit code of a command that should exit on its own; one that runs
+   on past 30 s is killed, which fails the test. *)
+let wait_exit pid =
+  let deadline = Unix.gettimeofday () +. 30. in
+  let rec go () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.02;
+        go ()
+    | 0, _ ->
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid : int * Unix.process_status);
+        Alcotest.fail "command did not exit"
+    | _, Unix.WEXITED code -> code
+    | _, _ -> Alcotest.fail "command killed by a signal"
+  in
+  go ()
+
+(* Run a command that must exit: its exit code and its combined output. *)
+let run_status dir args =
+  let path = Filename.temp_file "forkbase-cli" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let pid = Unix.create_process_env exe (argv args) (env dir) Unix.stdin fd fd in
+  Unix.close fd;
+  let code = wait_exit pid in
+  (code, In_channel.with_open_bin path In_channel.input_all)
+
+let check_fsck_clean run =
+  let fsck = run [ "fsck" ] in
+  Alcotest.(check bool) ("fsck clean: " ^ fsck) true
+    (List.mem "clean: all invariants hold" (String.split_on_char '\n' fsck))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
 
 let check_uid what s =
   let s = String.trim s in
@@ -85,9 +128,7 @@ let test_commands () =
   Alcotest.(check string) "nothing left to reclaim"
     "would reclaim 0 chunks (0 bytes)\n"
     (run [ "gc"; "--dry-run" ]);
-  let fsck = run [ "fsck" ] in
-  Alcotest.(check bool) ("fsck clean after gc: " ^ fsck) true
-    (List.mem "clean: all invariants hold" (String.split_on_char '\n' fsck));
+  check_fsck_clean run;
   Alcotest.(check string) "draft survives gc" (page ^ "tail")
     (run [ "get"; "-b"; "draft"; "page" ]);
   Alcotest.(check string) "note survives gc" "hello\n" (run [ "get"; "note" ])
@@ -124,6 +165,100 @@ let test_routed_matches_local () =
   Alcotest.(check string) "a blob prints without a trailing newline" page
     (snd (both [ "get"; "page" ]))
 
+(* Every command that opens the store — the servers included — reports a
+   corrupt log as one error line and exits 1, before serving anything. *)
+let test_corrupt_store_is_an_error () =
+  Testnet.with_temp_dir @@ fun dir ->
+  let (_ : string) = run dir [ "put"; "note"; "hello" ] in
+  (* a complete entry record whose payload is garbage *)
+  let log = Log_store.open_ (Filename.concat dir "chunks.log") in
+  let (_ : int) = Log_store.append_entry log "zzz" in
+  Log_store.close log;
+  List.iter
+    (fun args ->
+      let what = String.concat " " args in
+      let code, out = run_status dir args in
+      Alcotest.(check int) (what ^ " exits 1") 1 code;
+      let line = String.trim out in
+      Alcotest.(check bool)
+        (what ^ " reports the corrupt record: " ^ line)
+        true
+        (String.starts_with ~prefix:"error: log " line
+        && contains line "corrupt record"))
+    [
+      [ "serve"; "--port"; "0" ];
+      [ "shard"; "--index"; "0"; "--map"; "127.0.0.1:1"; "--port"; "0" ];
+      [ "follow"; "--of"; "127.0.0.1:1"; "--port"; "0" ];
+    ]
+
+(* The binary's server group-commits: every acknowledged put is released
+   by a shared fsync, and what it acknowledged is there after it stops. *)
+let test_serve_group_commits () =
+  Testnet.with_temp_dir @@ fun dir ->
+  let out_r, out_w = Unix.pipe () in
+  let pid =
+    Unix.create_process_env exe
+      (argv [ "serve"; "--port"; "0" ])
+      (env dir) Unix.stdin out_w Unix.stderr
+  in
+  Unix.close out_w;
+  let out = Unix.in_channel_of_descr out_r in
+  Fun.protect
+    ~finally:(fun () ->
+      close_in out;
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid : int * Unix.process_status)
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ())
+  @@ fun () ->
+  let port =
+    Scanf.sscanf (input_line out) "forkbase server listening on 127.0.0.1:%d"
+      Fun.id
+  in
+  let n = 40 in
+  let clients = [| Client.connect ~port (); Client.connect ~port () |] in
+  for i = 1 to n do
+    let (_ : Fbchunk.Cid.t) =
+      Client.put clients.(i mod 2) ~key:"note"
+        (Fbremote.Wire.Str (string_of_int i))
+    in
+    ()
+  done;
+  Array.iter Client.close clients;
+  let stats = run dir [ "stats"; "--port"; string_of_int port ] in
+  (match
+     List.find_opt
+       (String.starts_with ~prefix:"group commit:")
+       (String.split_on_char '\n' stats)
+   with
+  | Some line ->
+      Scanf.sscanf line "group commit: %d fsyncs, %d acks released"
+        (fun fsyncs acks ->
+          Alcotest.(check int) "one ack released per put" n acks;
+          Alcotest.(check bool) "at least one group commit" true (fsyncs >= 1))
+  | None -> Alcotest.failf "stats --port has no group commit line:\n%s" stats);
+  let c = Client.connect ~port () in
+  Client.quit_server c;
+  Client.close c;
+  Alcotest.(check int) "serve exits 0 on Quit" 0 (wait_exit pid);
+  Alcotest.(check string) "the last acknowledged put"
+    (string_of_int n ^ "\n")
+    (run dir [ "get"; "note" ]);
+  check_fsck_clean (run dir);
+  List.iter
+    (fun args ->
+      let code, _ = run_status dir args in
+      Alcotest.(check int)
+        (String.concat " " args ^ " is a usage error")
+        124 (* cmdliner's exit code for a command-line error *) code)
+    [
+      [ "serve"; "--no-group-commit" ];
+      [ "shard"; "--index"; "0"; "--map"; "127.0.0.1:1"; "--port"; "0";
+        "--no-group-commit" ];
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -132,6 +267,10 @@ let () =
           Alcotest.test_case "put/get/fork/merge/gc/fsck" `Quick test_commands;
           Alcotest.test_case "--via matches local" `Quick
             test_routed_matches_local;
+          Alcotest.test_case "corrupt store is an error" `Quick
+            test_corrupt_store_is_an_error;
+          Alcotest.test_case "serve group-commits" `Quick
+            test_serve_group_commits;
         ]
       );
     ]

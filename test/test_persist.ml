@@ -562,7 +562,7 @@ let test_journal_bad_varint_is_corruption () =
 
 let test_deferred_sync () =
   Testnet.with_temp_dir @@ fun dir ->
-  let p = Persist.open_db ~journal_sync_every:1 dir in
+  let p = Persist.open_db dir in
   Persist.set_deferred_sync p true;
   let db = Persist.db p in
   for i = 1 to 5 do
@@ -580,6 +580,38 @@ let test_deferred_sync () =
   Alcotest.(check bool) "deferred-sync db recovers after clean close" true
     (state_of (Persist.db p2) = final);
   Persist.close p2
+
+(* Without deferred sync, every journaled operation — local or
+   replicated — is fsynced before it returns. *)
+let test_per_op_fsync_by_default () =
+  Testnet.with_temp_dir @@ fun dir ->
+  let p = Persist.open_db (Filename.concat dir "a") in
+  let db = Persist.db p in
+  let synced what =
+    Alcotest.(check int) (what ^ " leaves nothing unsynced") 0
+      (Persist.unsynced_ops p)
+  in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail (Db.error_to_string e) in
+  let (_ : Cid.t) = Db.put db ~key:"k" (Db.str "base") in
+  synced "put";
+  ok (Db.fork db ~key:"k" ~from_branch:"master" ~new_branch:"draft");
+  synced "fork";
+  let (_ : Cid.t) = Db.put ~branch:"draft" db ~key:"k" (Db.str "edit") in
+  synced "put on a branch";
+  let (_ : Cid.t) =
+    ok (Db.merge db ~key:"k" ~target:"master" ~ref_:(`Branch "draft"))
+  in
+  synced "merge";
+  let q = Persist.open_db (Filename.concat dir "b") in
+  List.iter
+    (fun body ->
+      let seq, records = Fbpersist.Journal.decode_entry body in
+      Persist.apply_replicated q ~seq records;
+      Alcotest.(check int) "apply_replicated leaves nothing unsynced" 0
+        (Persist.unsynced_ops q))
+    (Persist.pull_entries p ~from_seq:0 ~max_entries:max_int);
+  Persist.close q;
+  Persist.close p
 
 let () =
   Random.self_init ();
@@ -607,6 +639,8 @@ let () =
           Alcotest.test_case "renames fsync the directory" `Quick
             test_rename_fsyncs_directory;
           Alcotest.test_case "deferred sync" `Quick test_deferred_sync;
+          Alcotest.test_case "per-op fsync by default" `Quick
+            test_per_op_fsync_by_default;
         ] );
       ( "compaction",
         [

@@ -173,6 +173,29 @@ let test_dispatcher_basic_ops () =
                 true (s.Wire.keys > 0))
             stats))
 
+(* A shard is a durable primary: its acknowledged puts are released by
+   group commits, one ack per put. *)
+let test_shard_group_commits () =
+  with_cluster 2 (fun _dirs _procs map ->
+      with_dispatcher map (fun d ->
+          let k = 25 in
+          let key = key_owned_by map 0 in
+          for i = 1 to k do
+            let (_ : Fbchunk.Cid.t) =
+              Dispatch.put d ~key (Wire.Str (string_of_int i))
+            in
+            ()
+          done;
+          match Dispatch.stats d with
+          | [ s0; s1 ] ->
+              Alcotest.(check int) "one ack released per put" k
+                s0.Wire.acks_released;
+              Alcotest.(check bool) "released by group commits" true
+                (s0.Wire.group_commits >= 1);
+              Alcotest.(check int) "the other shard acked nothing" 0
+                s1.Wire.acks_released
+          | stats -> Alcotest.failf "%d shards" (List.length stats)))
+
 (* --- differential: real sharded cluster vs lib/cluster simulation --- *)
 
 let test_differential_sim_vs_real () =
@@ -326,6 +349,8 @@ let () =
       ( "dispatcher",
         [
           Alcotest.test_case "basic ops" `Quick test_dispatcher_basic_ops;
+          Alcotest.test_case "shard group-commits" `Quick
+            test_shard_group_commits;
           Alcotest.test_case "differential sim-vs-real" `Quick
             test_differential_sim_vs_real;
         ] );

@@ -47,8 +47,7 @@ let with_mem_server ?config f =
 
 (* A durable primary child serving [dir], as `forkbase serve` runs it
    (journal hooks, compaction trigger, group commit). *)
-let with_primary ?port ?group_commit dir f =
-  with_proc (Proc.spawn_primary ?port ?group_commit ~dir ()) f
+let with_primary ?port dir f = with_proc (Proc.spawn_primary ?port ~dir ()) f
 
 (* A serving catch-up follower child, as `forkbase follow` runs it. *)
 let with_follower_server ~fdir ~primary_port f =
