@@ -16,6 +16,7 @@
      "git_rev": "<rev passed via --git-rev>",
      "scale": "small",
      "sha256_kernel": "sha-ni",
+     "cores": 2,
      "generated_by": "bench/main.exe",
      "experiments": [
        { "id": "durability", "scale": "small",
@@ -23,9 +24,11 @@
      ]
    }
 
-   [sha256_kernel] is a host fact: which SHA-256 compression kernel
-   ({!Fbhash.Sha256.kernel}) hashed every chunk, since write-side numbers
-   differ by an order of magnitude between the two.
+   [sha256_kernel] and [cores] are host facts: which SHA-256 compression
+   kernel ({!Fbhash.Sha256.kernel}) hashed every chunk, since write-side
+   numbers differ by an order of magnitude between the two, and how many
+   cores the host offers, since a server and its client processes share
+   them.
 
    Committing these files per PR records the repo's performance
    trajectory: diffing two revisions' BENCH_*.json answers "what did this
@@ -117,6 +120,8 @@ let render_area ~git_rev ~scale area experiments =
   add_str buf scale;
   Buffer.add_string buf ",\n  \"sha256_kernel\": ";
   add_str buf Fbhash.Sha256.kernel;
+  Buffer.add_string buf ",\n  \"cores\": ";
+  Buffer.add_string buf (string_of_int (Domain.recommended_domain_count ()));
   Buffer.add_string buf ",\n  \"generated_by\": \"bench/main.exe\"";
   Buffer.add_string buf ",\n  \"experiments\": [";
   List.iteri

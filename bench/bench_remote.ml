@@ -1,8 +1,10 @@
 (* Multi-client serving throughput over the real TCP server.  One server
    process runs the select event loop over an in-memory db; 1/4/16
    concurrent client processes each run a closed-loop put+get workload on
-   private keys.  The durable served path (group-commit fsyncs, acks per
-   fsync) is measured by perfbench's kv workload. *)
+   private keys.  A second row pipelines reads of one 64 KiB Blob page,
+   the shape of perfbench's wiki bulk-get round.  The durable served path
+   (group-commit fsyncs, acks per fsync) is measured by perfbench's kv
+   workload. *)
 
 module Server = Fbremote.Server
 module Client = Fbremote.Client
@@ -53,6 +55,68 @@ let run_experiment ~clients ~total_ops ~value_size =
   let done_ops = clients * (ops / 2) * 2 in
   (float_of_int done_ops /. elapsed, stats)
 
+(* One connection writes [in_flight] gets of a 64 KiB page in one write,
+   then reads and decodes every answer; [rounds] times. *)
+let page_reads ~rounds ~in_flight =
+  let server = spawn_server () in
+  let port = Procs.port server in
+  let c = Client.connect ~retries:20 ~port () in
+  let page = Workload.Text_edit.initial_page ~seed:1L ~size:65536 in
+  let (_ : Fbchunk.Cid.t) = Client.put c ~key:"page" (Wire.Blob page) in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let get =
+    Wire.encode_frame (Wire.encode_request (Wire.Get { key = "page"; branch = "master" }))
+  in
+  let batch = String.concat "" (List.init in_flight (fun _ -> get)) in
+  let elapsed, () =
+    Bench_util.time_it (fun () ->
+        for _ = 1 to rounds do
+          ignore (Unix.write_substring fd batch 0 (String.length batch));
+          for _ = 1 to in_flight do
+            match Option.map Wire.decode_response (Wire.read_frame fd) with
+            | Some (Wire.Value (Wire.Blob b)) when String.length b = String.length page -> ()
+            | _ -> failwith "page read: wrong answer"
+          done
+        done)
+  in
+  Unix.close fd;
+  Client.quit_server c;
+  Client.close c;
+  Procs.reap server;
+  float_of_int (rounds * in_flight) /. elapsed
+
+(* Major-heap bytes one served page get allocates, response frame
+   included: measured in process over the handler and the frame encoder. *)
+let page_get_major_bytes () =
+  let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
+  let page = Workload.Text_edit.initial_page ~seed:1L ~size:65536 in
+  let (_ : Fbchunk.Cid.t) = Forkbase.Db.put_blob db ~key:"page" page in
+  let buf = Buffer.create 16 in
+  let get () =
+    Wire.response_frame buf (Server.handle db (Wire.Get { key = "page"; branch = "master" }))
+  in
+  ignore (get ());
+  let gets = 50 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to gets do
+    ignore (Sys.opaque_identity (get ()))
+  done;
+  ((Gc.quick_stat ()).Gc.major_words -. before)
+  *. float_of_int (Sys.word_size / 8) /. float_of_int gets
+
+let page_gets scale =
+  Bench_util.section "Remote serving: pipelined 64 KiB page reads (one connection)";
+  let rounds = Bench_util.pick scale 16 64 and in_flight = 256 in
+  let tput = page_reads ~rounds ~in_flight in
+  let major = page_get_major_bytes () in
+  Bench_json.metric ~name:"pipelined_page_gets_per_s" ~value:tput ~unit:"gets/s";
+  Bench_json.metric ~name:"page_get_major_bytes" ~value:major ~unit:"B";
+  Bench_util.row_header [ "rounds"; "in flight"; "gets/s"; "major B/get" ];
+  Bench_util.row
+    [ string_of_int rounds; string_of_int in_flight; Printf.sprintf "%.0f" tput;
+      Printf.sprintf "%.0f" major ]
+
 let remote scale =
   Bench_util.section
     "Remote serving: multi-client throughput (select event loop)";
@@ -74,4 +138,5 @@ let remote scale =
           string_of_int s.Wire.frames_in;
           string_of_int s.Wire.closed_err;
         ])
-    [ 1; 4; 16 ]
+    [ 1; 4; 16 ];
+  page_gets scale

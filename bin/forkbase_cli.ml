@@ -284,7 +284,9 @@ let print_conn_counters (k : Fbremote.Server.counters) =
   if k.group_commits > 0 then
     Printf.printf "group commit: %d fsyncs, %d acks released (%.1f acks/sync)\n"
       k.group_commits k.acks_released
-      (float_of_int k.acks_released /. float_of_int k.group_commits)
+      (float_of_int k.acks_released /. float_of_int k.group_commits);
+  if k.out_peak > 0 then
+    Printf.printf "output peak: %d bytes unwritten on one connection\n" k.out_peak
 
 (* The listen port and serving limits of 'serve' and 'follow', which
    differ only in their default port. *)
@@ -375,6 +377,7 @@ let stats_cmd =
             timeouts = s.timeouts;
             group_commits = s.group_commits;
             acks_released = s.acks_released;
+            out_peak = 0 (* not carried by Stats *);
           }
     | None ->
         with_store @@ fun p ->

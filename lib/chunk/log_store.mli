@@ -52,10 +52,10 @@ val close : t -> unit
 (** Flushes and fsyncs before closing: a closed log is always durable. *)
 
 val crash : t -> unit
-(** Release the file descriptors {e without} the close-time fsync — a
-    deterministic stand-in for SIGKILLing the process at an operation
-    boundary.  The log on disk is left exactly as the write path flushed
-    it; combine with an explicit truncation to model a torn tail. *)
+(** Hand buffered appends to the OS and release the file descriptors
+    {e without} the close-time fsync — a deterministic stand-in for
+    SIGKILLing the process after the kernel took every append; combine
+    with an explicit truncation to model a torn tail. *)
 
 val store : t -> Chunk_store.t
 (** The generic store interface over this log's chunk records.  A put

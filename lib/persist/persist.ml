@@ -5,10 +5,14 @@
    Write path ordering (one db operation):
      1. chunks appended to the log (buffered),
      2. the operation's branch records appended after them as one entry
-        record, and the log flushed to the OS: chunks and entry together,
-     3. one fsync of the log, unless deferred sync is on: then the
-        network server's group commit fsyncs once for every operation
-        of an event-loop round before it acknowledges any of them.
+        record (buffered),
+     3. one flush and fsync of the log, unless deferred sync is on: then
+        the network server's group commit flushes and fsyncs once for
+        every operation of an event-loop round before it acknowledges
+        any of them.
+   An operation is acknowledged only after step 3, so no per-operation
+   flush is needed: until its sync it may sit in the channel buffer, and
+   a crash that loses it loses an operation nobody was told about.
    File order is the write-ahead order: an entry never refers to a chunk
    later in the file, so a torn tail can only drop an entry together with
    (or after) the chunks it needs, for process crashes and power loss
@@ -80,12 +84,11 @@ let sync t =
 let is_snapshot =
   List.exists (function Journal.Checkpoint _ -> true | Journal.Mutation _ -> false)
 
-(* Append one entry after the chunks it refers to and hand both to the OS
-   in one flush.  A snapshot supersedes every earlier entry, so it
-   restarts the pullable tail. *)
+(* Append one entry after the chunks it refers to (buffered; [sync]
+   flushes).  A snapshot supersedes every earlier entry, so it restarts the
+   pullable tail. *)
 let append t ~seq records =
   let off = Log_store.append_entry t.log (Journal.encode_entry ~seq records) in
-  Log_store.flush t.log;
   t.seq <- seq;
   t.recent <- (seq, off) :: (if is_snapshot records then [] else t.recent)
 
@@ -286,7 +289,9 @@ let unsynced_ops t = t.unsynced_ops
 let close t = Log_store.close t.log
 
 (* Deterministic crash: drop the log as a SIGKILL at an operation boundary
-   would — no final sync, no checkpoint.  Acked operations are already
-   flushed per [append], so a subsequent [open_db] recovers exactly the
-   acknowledged state. *)
+   would — no final sync, no checkpoint.  Every acknowledged operation
+   went through a [sync] before its ack, so a subsequent [open_db]
+   recovers at least the acknowledged state; operations appended since
+   the last sync (deferred sync only) are flushed too, as a process crash
+   after the kernel took them would leave them. *)
 let crash t = Log_store.crash t.log

@@ -270,6 +270,7 @@ type counters = {
   mutable timeouts : int;
   mutable group_commits : int;
   mutable acks_released : int;
+  mutable out_peak : int;
 }
 
 let fresh_counters () =
@@ -283,6 +284,7 @@ let fresh_counters () =
     timeouts = 0;
     group_commits = 0;
     acks_released = 0;
+    out_peak = 0;
   }
 
 type config = {
@@ -303,20 +305,27 @@ let default_config =
 (* What a finished connection should be counted as. *)
 type close_reason = Ok_close | Err_close | Timeout_close
 
-(* One client connection.  [rbuf] holds received-but-unparsed bytes (frames
-   are reassembled across partial reads); [wcur]/[wpos] plus [wqueue] hold
-   encoded response frames awaiting the socket, resumed across partial
-   writes.  A [draining] connection takes no further input and is closed —
-   counted as [drain_reason] — once its queued output is flushed. *)
+(* One client connection.  [rbuf] holds received bytes from [rpos] on
+   not yet parsed (frames are reassembled across partial reads); [wcur]/
+   [wpos] plus [wqueue] hold encoded response frames awaiting the socket,
+   resumed across partial writes.  [queued] counts the bytes of every
+   response produced and not yet written, parked ones included.  A
+   [draining] connection takes no further input and is closed — counted
+   as [drain_reason] — once its queued output is flushed.  After [eof]
+   the peer sends nothing more, but the complete frames it sent are still
+   answered. *)
 type conn = {
   fd : Unix.file_descr;
   rbuf : Buffer.t;
+  mutable rpos : int;
   wqueue : string Queue.t;
   mutable wcur : string;
   mutable wpos : int;
+  mutable queued : int;
   mutable last_active : float;
   mutable draining : bool;
   mutable drain_reason : close_reason;
+  mutable eof : bool;
   mutable holding : bool;
       (* a response of this connection sits in the group-commit pending
          queue this round; later responses must queue behind it to keep
@@ -324,7 +333,6 @@ type conn = {
 }
 
 let has_output c = c.wpos < String.length c.wcur || not (Queue.is_empty c.wqueue)
-let mid_frame c = Buffer.length c.rbuf > 0
 
 let drain c reason =
   c.draining <- true;
@@ -340,9 +348,29 @@ let durable_write = function
 
 (* Per-round I/O bounds: bytes read from one connection per round (no
    client starves the rest), and the largest write small response
-   frames are joined into. *)
+   frames are joined into.  Per connection, parsing pauses once
+   [out_budget] bytes of answers wait for the socket, so a deep pipeline
+   of page reads is answered in slices the client decodes while the
+   server encodes the next. *)
 let read_budget = 1 lsl 20
 let join_cap = 65536
+let out_budget = 256 * 1024
+
+(* What the input in [rbuf] starting at [at] holds first. *)
+type next_frame =
+  | Frame of int  (* a complete frame, its body that many bytes *)
+  | Oversized of string  (* a header announcing more than the limit *)
+  | Partial  (* the start of a frame, or nothing *)
+
+let frame_at ~max_frame_bytes rbuf at =
+  let avail = Buffer.length rbuf - at in
+  if avail < Wire.header_bytes then Partial
+  else
+    let byte i = Buffer.nth rbuf (at + i) in
+    let n = Wire.frame_length (byte 0) (byte 1) (byte 2) (byte 3) in
+    match Wire.check_frame_length ~max_frame_bytes n with
+    | exception Fbutil.Codec.Corrupt msg -> Oversized msg
+    | () -> if avail < Wire.header_bytes + n then Partial else Frame n
 
 let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     ?(tick_every = 0.05) ?(now = Clock.monotonic) ?(config = default_config)
@@ -370,9 +398,13 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     Hashtbl.remove conns c.fd;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   in
-  let enqueue_response c resp =
+  let frame_at c = frame_at ~max_frame_bytes:config.max_frame_bytes c.rbuf in
+  (* Every response frame is built in this one buffer and copied out
+     once. *)
+  let out = Buffer.create join_cap in
+  let enqueue c frame =
     k.frames_out <- k.frames_out + 1;
-    Queue.push (Wire.encode_frame (Wire.encode_response resp)) c.wqueue
+    Queue.push frame c.wqueue
   in
   (* Group commit: responses to durable writes are parked here instead of
      being queued on their sockets; once per event-loop round a single
@@ -380,32 +412,35 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
      acknowledgement is released at once.  N concurrent writers pay one
      fsync per round instead of one each, with unchanged per-ack
      durability (no ack leaves before its entry is on disk). *)
-  let pending : (conn * Wire.response) Queue.t = Queue.create () in
+  let pending : (conn * string) Queue.t = Queue.create () in
   let release_pending () =
     if not (Queue.is_empty pending) then begin
       (match group_commit with Some sync -> sync () | None -> ());
       k.group_commits <- k.group_commits + 1;
       k.acks_released <- k.acks_released + Queue.length pending;
       Queue.iter
-        (fun ((c : conn), resp) ->
+        (fun ((c : conn), frame) ->
           c.holding <- false;
           (* The connection may have died between park and release (reaped,
              faulted on its write side); only enqueue on the live struct
              still registered under this fd, not a successor that reused
              the descriptor number. *)
           match Hashtbl.find_opt conns c.fd with
-          | Some c' when c' == c -> enqueue_response c resp
+          | Some c' when c' == c -> enqueue c frame
           | Some _ | None -> ())
         pending;
       Queue.clear pending
     end
   in
   let park_or_respond c ~held resp =
+    let frame = Wire.response_frame out resp in
+    c.queued <- c.queued + String.length frame;
+    if c.queued > k.out_peak then k.out_peak <- c.queued;
     if held then begin
       c.holding <- true;
-      Queue.push (c, resp) pending
+      Queue.push (c, frame) pending
     end
-    else enqueue_response c resp
+    else enqueue c frame
   in
   (* A [Stats] answer carries the live connection counters alongside the
      db-level ones. *)
@@ -434,61 +469,91 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
       Hashtbl.iter (fun _ c -> if not c.draining then drain c Ok_close) conns
     end
   in
-  (* Parse every complete frame sitting in [c.rbuf]. *)
+  (* Parse the complete frames in [c.rbuf], until the connection's
+     unwritten output reaches [out_budget]; the rest wait for a later
+     round. *)
   let process_frames c =
-    let consumed = ref 0 in
-    let len () = Buffer.length c.rbuf - !consumed in
-    let byte i = Buffer.nth c.rbuf (!consumed + i) in
-    (try
-       while (not c.draining) && len () >= Wire.header_bytes do
-         let n = Wire.frame_length (byte 0) (byte 1) (byte 2) (byte 3) in
-         (* Oversized announcement: protocol violation.  Reply with an
-            error (never allocating the announced body) and drop the
-            connection — the stream position is unrecoverable. *)
-         match Wire.check_frame_length ~max_frame_bytes:config.max_frame_bytes n with
-         | exception Fbutil.Codec.Corrupt msg ->
-             enqueue_response c (Wire.Error ("bad request: " ^ msg));
-             drain c Err_close
-         | () ->
-             if len () < Wire.header_bytes + n then raise Exit (* incomplete *);
-             let frame = Buffer.sub c.rbuf (!consumed + Wire.header_bytes) n in
-             consumed := !consumed + Wire.header_bytes + n;
-             k.frames_in <- k.frames_in + 1;
-             let held, response =
-               match Wire.decode_request frame with
-               | exception Fbutil.Codec.Corrupt msg ->
-                   (* The frame boundary held but the body is not a
-                      request: the same protocol violation as an oversized
-                      frame — answer, then drop the connection. *)
-                   drain c Err_close;
-                   (c.holding, Wire.Error ("bad request: " ^ msg))
-               | Wire.Quit ->
-                   drain c Ok_close;
-                   begin_shutdown ();
-                   (c.holding, Wire.Ok_unit)
-               | req ->
-                   (* Once one response of this connection is parked, every
-                      later one this round queues behind it, whatever its
-                      request type, to preserve response order. *)
-                   let held =
-                     c.holding
-                     || Option.is_some group_commit
-                        && Option.is_none redirect && durable_write req
-                   in
-                   ( held,
-                     try
-                       with_counters
-                         (handle ?checkpoint ?journal ?redirect ?shard db req)
-                     with e -> Wire.Error (Printexc.to_string e) )
-             in
-             park_or_respond c ~held response
-       done
-     with Exit -> ());
-    if !consumed > 0 then begin
-      let rest = Buffer.sub c.rbuf !consumed (Buffer.length c.rbuf - !consumed) in
+    let continue = ref true in
+    while !continue && (not c.draining) && c.queued < out_budget do
+      match frame_at c c.rpos with
+      | Partial -> continue := false
+      | Oversized msg ->
+          (* Protocol violation.  Reply with an error (never allocating
+             the announced body) and drop the connection — the stream
+             position is unrecoverable. *)
+          park_or_respond c ~held:c.holding (Wire.Error ("bad request: " ^ msg));
+          drain c Err_close
+      | Frame n ->
+          let frame = Buffer.sub c.rbuf (c.rpos + Wire.header_bytes) n in
+          c.rpos <- c.rpos + Wire.header_bytes + n;
+          k.frames_in <- k.frames_in + 1;
+          let held, response =
+            match Wire.decode_request frame with
+            | exception Fbutil.Codec.Corrupt msg ->
+                (* The frame boundary held but the body is not a request:
+                   the same protocol violation as an oversized frame —
+                   answer, then drop the connection. *)
+                drain c Err_close;
+                (c.holding, Wire.Error ("bad request: " ^ msg))
+            | Wire.Quit ->
+                drain c Ok_close;
+                begin_shutdown ();
+                (c.holding, Wire.Ok_unit)
+            | req ->
+                (* Once one response of this connection is parked, every
+                   later one this round queues behind it, whatever its
+                   request type, to preserve response order. *)
+                let held =
+                  c.holding
+                  || Option.is_some group_commit
+                     && Option.is_none redirect && durable_write req
+                in
+                ( held,
+                  try
+                    with_counters
+                      (handle ?checkpoint ?journal ?redirect ?shard db req)
+                  with e -> Wire.Error (Printexc.to_string e) )
+          in
+          park_or_respond c ~held response
+    done;
+    (* Drop the parsed prefix once it is most of the buffer: a paused
+       pipeline is parsed in many slices, and moving its tail after each
+       would copy it again and again. *)
+    let len = Buffer.length c.rbuf in
+    if c.rpos = len then begin
       Buffer.clear c.rbuf;
-      Buffer.add_string c.rbuf rest
+      c.rpos <- 0
     end
+    else if c.rpos > len / 2 then begin
+      let rest = Buffer.sub c.rbuf c.rpos (len - c.rpos) in
+      Buffer.clear c.rbuf;
+      Buffer.add_string c.rbuf rest;
+      c.rpos <- 0
+    end;
+    (* the peer is gone and every frame it sent is answered *)
+    if c.eof && c.rpos = Buffer.length c.rbuf && not c.draining then
+      drain c Ok_close
+  in
+  (* Parsing paused at the budget resumes once enough output is written:
+     the connection is back under it and holds a frame to act on. *)
+  let resumable c =
+    (not c.draining) && c.queued < out_budget
+    && match frame_at c c.rpos with Partial -> false | Frame _ | Oversized _ -> true
+  in
+  (* Does the unparsed input end inside a frame?  Complete frames held
+     back by the budget are pending work; only a frame cut short means the
+     peer vanished mid-request. *)
+  let ends_mid_frame c =
+    let len = Buffer.length c.rbuf in
+    let rec walk at =
+      at < len
+      &&
+      match frame_at c at with
+      | Partial -> true
+      | Oversized _ -> false
+      | Frame n -> walk (at + Wire.header_bytes + n)
+    in
+    walk c.rpos
   in
   let scratch = Bytes.create 65536 in
   (* Drain the socket, then parse every complete frame at once, so the
@@ -509,24 +574,21 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
             fill (got + n)
     in
     let ended = fill 0 in
+    if ended = `Eof then c.eof <- true;
     process_frames c;
     match ended with
     | `Open -> None
     | `Error -> Some Err_close
-    | `Eof when c.draining ->
-        (* the burst ended in a Quit or a protocol violation: close as
-           that decided, once its answer is flushed *)
-        None
+    | `Eof when (not c.draining) && ends_mid_frame c ->
+        (* the peer closed inside a frame: it vanished mid-request *)
+        Some Err_close
     | `Eof ->
-        (* Peer closed.  A half-received frame means it vanished
-           mid-request; answers queued or parked for group commit still
-           get a flush attempt. *)
-        if mid_frame c then Some Err_close
-        else if has_output c || c.holding then begin
-          drain c Ok_close;
-          None
-        end
-        else Some Ok_close
+        (* Peer closed.  Every complete frame it sent is still answered,
+           those waiting for the output budget too, and answers queued or
+           parked for group commit get a flush attempt; then the
+           connection closes as [process_frames] or a Quit or protocol
+           violation decided. *)
+        None
   in
   (* The next string to put on the socket: a run of small frames joined
      into one write of at most [join_cap] bytes, or a frame too large to
@@ -567,6 +629,7 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
         with
         | Wire.Nb_wrote n ->
             c.wpos <- c.wpos + n;
+            c.queued <- c.queued - n;
             c.last_active <- now ()
         | Wire.Nb_blocked -> continue := false
         | Wire.Nb_write_error ->
@@ -588,12 +651,15 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
             {
               fd;
               rbuf = Buffer.create 256;
+              rpos = 0;
               wqueue = Queue.create ();
               wcur = "";
               wpos = 0;
+              queued = 0;
               last_active = now ();
               draining = false;
               drain_reason = Ok_close;
+              eof = false;
               holding = false;
             }
     done
@@ -603,16 +669,15 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     && (Hashtbl.length conns = 0 || now () > !shutdown_deadline)
   in
   while not (finished ()) do
-    (* During shutdown a connection with nothing left to flush is done —
-       close it now rather than waiting out the drain deadline. *)
-    if !shutting_down then begin
-      let done_ =
-        Hashtbl.fold
-          (fun _ c acc -> if has_output c then acc else c :: acc)
-          conns []
-      in
-      List.iter (fun c -> close_conn c c.drain_reason) done_
-    end;
+    (* A draining connection with nothing left to flush is done — close
+       it now rather than waiting out the drain deadline.  (No answer is
+       parked here: every round ends by releasing them.) *)
+    let done_ =
+      Hashtbl.fold
+        (fun _ c acc -> if c.draining && not (has_output c) then c :: acc else acc)
+        conns []
+    in
+    List.iter (fun c -> close_conn c c.drain_reason) done_;
     let t_now = now () in
     (* While shutting down or at the connection cap, leave the listener out
        of the read set: new clients wait in the backlog instead of being
@@ -622,7 +687,7 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     let write_fds = ref [] in
     Hashtbl.iter
       (fun fd c ->
-        if not c.draining then read_fds := fd :: !read_fds;
+        if not (c.draining || c.eof) then read_fds := fd :: !read_fds;
         if has_output c then write_fds := fd :: !write_fds)
       conns;
     let timeout =
@@ -641,6 +706,8 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
         if !shutting_down then infinity else !next_tick -. t_now
       in
       match Float.min (Float.min idle drain) tick_in with
+      | _ when Hashtbl.fold (fun _ c acc -> acc || resumable c) conns false ->
+          0. (* parsing to resume: poll, then get on with it *)
       | t when t = infinity -> -1. (* block until a descriptor is ready *)
       | t -> Float.max 0.01 t
     in
@@ -682,6 +749,9 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
                   | Some reason -> close_conn c reason
                   | None -> ()))
           readable;
+        (* Connections whose written output took them back under the
+           budget parse their next slice, in this round's commit. *)
+        Hashtbl.iter (fun _ c -> if resumable c then process_frames c) conns;
         (* All of this round's requests are handled: one fsync commits the
            round's durable writes and releases every parked ack, before
            the still-sending connections' write pass so their freshly

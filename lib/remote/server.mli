@@ -6,7 +6,8 @@
     which reassembles frames across partial reads, so one group commit
     covers every pipelined write that arrived; per-connection write
     queues join runs of small replies into one write and resume partial
-    writes; idle connections are reaped, and the connection count is
+    writes, and a connection stops parsing while {!out_budget} bytes of
+    its answers wait for the socket; idle connections are reaped, and the connection count is
     capped.  Every connection is fault-isolated — a peer that disconnects
     mid-request, sends garbage, or announces an oversized frame loses
     {e its} connection (recorded in the {!counters}) while every other
@@ -36,9 +37,19 @@ type counters = {
   mutable acks_released : int;
       (** write acknowledgements released by group commits;
           [acks_released / group_commits] is the amortization factor *)
+  mutable out_peak : int;
+      (** the most response bytes one connection had produced and not yet
+          written: at most {!out_budget} plus one frame *)
 }
-(** Per-server serving counters, also spliced into every [Stats] response
-    answered while serving. *)
+(** Per-server serving counters, spliced into every [Stats] response
+    answered while serving ([out_peak] only in the returned record). *)
+
+val out_budget : int
+(** Unwritten response bytes (256 KiB) at which a connection's request
+    parsing pauses until the socket takes them: a deep pipeline of page
+    reads is answered slice by slice, each written while the next is
+    encoded.  Its buffered requests are still read, and answered later —
+    also after the peer half-closes. *)
 
 type config = {
   max_conns : int;

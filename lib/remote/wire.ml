@@ -272,6 +272,17 @@ let encode_frame body =
   Bytes.blit_string body 0 frame 4 n;
   Bytes.unsafe_to_string frame
 
+(* The header and body built in [buf] and taken out in one copy: the one
+   allocation a response frame costs.  The header is a placeholder until
+   the body's length is known. *)
+let response_frame buf r =
+  Buffer.clear buf;
+  Buffer.add_string buf "\000\000\000\000";
+  C.write response buf r;
+  let frame = Buffer.to_bytes buf in
+  Bytes.set_int32_be frame 0 (Int32.of_int (Bytes.length frame - header_bytes));
+  Bytes.unsafe_to_string frame
+
 let frame_length b0 b1 b2 b3 =
   (Char.code b0 lsl 24) lor (Char.code b1 lsl 16) lor (Char.code b2 lsl 8)
   lor Char.code b3

@@ -185,6 +185,11 @@ val encode_frame : string -> string
     [write_frame] puts on the wire, for callers managing their own write
     queues. *)
 
+val response_frame : Buffer.t -> response -> string
+(** [response_frame buf r] is [encode_frame (encode_response r)], built in
+    [buf] (cleared first, reusable across calls) and copied out once: one
+    allocation per frame instead of one per encoding step. *)
+
 val frame_length : char -> char -> char -> char -> int
 (** Decode the 4 header bytes into a body length. *)
 

@@ -21,12 +21,14 @@ let length = T.length
 let equal = T.equal
 
 let read t ~pos ~len =
-  (* Blob elements are single bytes, so leaf payloads can be copied
-     wholesale instead of decoded element-wise. *)
-  let b = Buffer.create len in
+  (* Blob elements are single bytes, so leaf payloads are blitted
+     wholesale, once, into the result. *)
+  let b = Bytes.create len in
+  let at = ref 0 in
   T.iter_leaf_payloads t ~pos ~len (fun payload ~off ~take ->
-      Buffer.add_substring b payload off take);
-  Buffer.contents b
+      Bytes.blit_string payload off b !at take;
+      at := !at + take);
+  Bytes.unsafe_to_string b
 
 let to_string t = read t ~pos:0 ~len:(length t)
 

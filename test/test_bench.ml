@@ -254,6 +254,8 @@ let test_smoke_run_emits_valid_json () =
   Alcotest.(check string) "scale" "small" (as_str "scale" (member "scale" j));
   Alcotest.(check string) "sha256_kernel host fact" Fbhash.Sha256.kernel
     (as_str "sha256_kernel" (member "sha256_kernel" j));
+  Alcotest.(check bool) "cores host fact" true
+    (match member "cores" j with Num n -> n >= 1. | _ -> false);
   Alcotest.(check string) "generated_by" "bench/main.exe"
     (as_str "generated_by" (member "generated_by" j));
   let exp =

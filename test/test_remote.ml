@@ -121,6 +121,21 @@ let prop_response_roundtrip =
     (QCheck.make gen_response)
     (fun resp -> Wire.decode_response (Wire.encode_response resp) = resp)
 
+(* The server's one-copy frame is byte for byte the two-step encoding.
+   One buffer serves every case, as it serves every response: a page-sized
+   answer, then a small one, must leave nothing of the first behind. *)
+let frame_buf = Buffer.create 16
+
+let prop_response_frame =
+  let page = QCheck.Gen.(map (fun n -> Wire.Value (Wire.Blob (String.make n 'p')))
+                           (int_range 65_536 200_000)) in
+  QCheck.Test.make ~name:"response_frame = encode_frame of encode_response" ~count:300
+    (QCheck.make QCheck.Gen.(pair (frequency [ (1, page); (4, gen_response) ]) gen_response))
+    (fun (a, b) ->
+      List.for_all
+        (fun r -> Wire.response_frame frame_buf r = Wire.encode_frame (Wire.encode_response r))
+        [ a; b ])
+
 (* Journal entries ship inside [Journal_batch], so their records are
    pinned and round-tripped beside the wire messages. *)
 let gen_entry =
@@ -321,6 +336,19 @@ let test_handle () =
   match Server.handle db Wire.Checkpoint with
   | Wire.Error _ -> ()
   | _ -> Alcotest.fail "checkpoint on volatile store should error"
+
+(* Serving a 64 KiB page read allocates the page and its one frame on the
+   major heap, not a copy per encoding step (six frames' worth when every
+   step copied).  The figure is bench_remote's committed row. *)
+let page_frame_bytes page =
+  String.length (Wire.encode_frame (Wire.encode_response (Wire.Value (Wire.Blob page))))
+
+let test_page_get_allocation () =
+  let frame = page_frame_bytes (String.make 65536 'p') in
+  let frames = Bench_remote.page_get_major_bytes () /. float_of_int frame in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f frames of major allocation per page get (<= 2.5)" frames)
+    true (frames <= 2.5)
 
 (* --- server-process plumbing --- *)
 
@@ -809,6 +837,137 @@ let test_coalesced_replies_keep_order () =
   ignore (Wire.read_frame fd);
   Unix.close fd
 
+(* --- the output budget: parsing pauses while answers wait --- *)
+
+let page_of seed = Workload.Text_edit.initial_page ~seed:(Int64.of_int seed) ~size:65536
+
+(* A pipeline of 64 page reads, 16 budgets' worth of answers, then a
+   half-close: the EOF arrives while most of the gets wait unparsed behind
+   the budget.  They are pending work, not a vanished peer, so every one
+   is answered before the orderly close. *)
+let test_half_close_with_parsing_paused () =
+  with_server @@ fun port ->
+  let witness = Client.connect ~retries:5 ~port () in
+  let page = page_of 21 in
+  let (_ : Cid.t) = Client.put witness ~key:"page" (Wire.Blob page) in
+  let before = Client.stats witness in
+  let n = 64 in
+  Alcotest.(check bool) "the batch's answers are 16 budgets" true
+    (n * String.length page >= 16 * Server.out_budget);
+  let fd = raw_connect port in
+  send_batch fd (List.init n (fun _ -> get_req "page"));
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  List.iteri
+    (fun i answer -> check_value (Printf.sprintf "get %d" i) (Wire.Blob page) answer)
+    (read_answers fd n);
+  Alcotest.(check bool) "then EOF" true (Wire.read_frame fd = None);
+  Unix.close fd;
+  let after = Client.stats witness in
+  Alcotest.(check int) "one orderly close" (before.Wire.closed_ok + 1) after.Wire.closed_ok;
+  Alcotest.(check int) "no faulted close" 0 after.Wire.closed_err;
+  Client.quit_server witness;
+  Client.close witness
+
+(* An oversized header that arrives while parsing is paused is still
+   found once the gets before it are answered: its [bad request] reply
+   follows theirs, and the connection closes as faulted. *)
+let test_oversized_header_while_paused () =
+  let config = { Server.default_config with Server.max_frame_bytes = 1 lsl 17 } in
+  with_server ~config @@ fun port ->
+  let witness = Client.connect ~retries:5 ~port () in
+  let page = page_of 22 in
+  let (_ : Cid.t) = Client.put witness ~key:"page" (Wire.Blob page) in
+  let n = 16 in
+  let fd = raw_connect port in
+  let get = Wire.encode_frame (Wire.encode_request (get_req "page")) in
+  let bytes = String.concat "" (List.init n (fun _ -> get)) ^ header_of 10_000_000 in
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  List.iteri
+    (fun i answer -> check_value (Printf.sprintf "get %d" i) (Wire.Blob page) answer)
+    (read_answers fd n);
+  (match Option.map Wire.decode_response (Wire.read_frame fd) with
+  | Some (Wire.Error msg) ->
+      Alcotest.(check bool) "bad request answered" true
+        (String.starts_with ~prefix:"bad request: " msg)
+  | _ -> Alcotest.fail "expected the bad request error after the gets");
+  Alcotest.(check bool) "connection then closed" true (Wire.read_frame fd = None);
+  Unix.close fd;
+  Alcotest.(check int) "close recorded as error" 1 (Client.stats witness).Wire.closed_err;
+  Client.quit_server witness;
+  Client.close witness
+
+(* A durable group-commit server, as [Proc.spawn_primary] runs one, that
+   also reports its final [out_peak] counter; [f] must quit it. *)
+let with_counted_primary f =
+  Testnet.with_temp_dir @@ fun dir ->
+  let peak_file = Filename.concat dir "out_peak" in
+  let server =
+    Fbremote.Procs.spawn (fun listen_fd ->
+        let p = Persist.open_db (Filename.concat dir "store") in
+        let k = Fbreplica.Proc.serve_primary p listen_fd in
+        Persist.close p;
+        Out_channel.with_open_text peak_file (fun oc ->
+            output_string oc (string_of_int k.Server.out_peak)))
+  in
+  (* wait for the child to write the counter; kill it only on failure *)
+  Fun.protect
+    ~finally:(fun () -> Fbremote.Procs.kill server)
+    (fun () ->
+      f (Fbremote.Procs.port server);
+      Fbremote.Procs.reap server);
+  int_of_string (In_channel.with_open_text peak_file In_channel.input_all)
+
+(* One connection pipelines page puts, each followed by two reads of it,
+   far past the budget, and reads nothing until a second client has done
+   its own puts and gets alongside.  Both see their answers in request
+   order; every put's ack went through a group commit, with the reads
+   behind it held as well; and no connection ever had more than the budget
+   plus one frame of answers unwritten. *)
+let test_order_past_the_budget () =
+  let pages = Array.init 12 (fun i -> page_of (40 + i)) in
+  let peak =
+    with_counted_primary @@ fun port ->
+    let fd = raw_connect port in
+    send_batch fd
+      (List.concat_map
+         (fun p -> [ put_req "pipe" (Wire.Blob p); get_req "pipe"; get_req "pipe" ])
+         (Array.to_list pages));
+    let c = Client.connect ~retries:20 ~port () in
+    for i = 1 to 10 do
+      let v = Wire.Str (Printf.sprintf "side-%d" i) in
+      let (_ : Cid.t) = Client.put c ~key:"side" v in
+      Alcotest.(check bool) (Printf.sprintf "side get %d" i) true
+        (Client.get c ~key:"side" = v)
+    done;
+    List.iteri
+      (fun i answer ->
+        let page = pages.(i / 3) in
+        match (i mod 3, answer) with
+        | 0, Wire.Uid _ -> ()
+        | 0, _ -> Alcotest.fail (Printf.sprintf "answer %d: a put not answered by a uid" i)
+        | _, answer ->
+            check_value (Printf.sprintf "answer %d reads its put" i) (Wire.Blob page) answer)
+      (read_answers fd (3 * Array.length pages));
+    Unix.close fd;
+    let s = Client.stats c in
+    (* parked: the 22 put acks, and any reads queued behind them *)
+    let puts = Array.length pages + 10 in
+    Alcotest.(check bool)
+      (Printf.sprintf "every put ack went through group commit (%d released)"
+         s.Wire.acks_released)
+      true
+      (s.Wire.acks_released >= puts && s.Wire.acks_released <= 3 * Array.length pages + 10);
+    Alcotest.(check int) "no faulted close" 0 s.Wire.closed_err;
+    Client.quit_server c;
+    Client.close c
+  in
+  let frame = page_frame_bytes pages.(0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak unwritten output %d <= budget %d + one frame %d" peak
+       Server.out_budget frame)
+    true
+    (peak <= Server.out_budget + frame && peak > Server.out_budget / 2)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "remote"
@@ -817,6 +976,7 @@ let () =
         [
           q prop_request_roundtrip;
           q prop_response_roundtrip;
+          q prop_response_frame;
           Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
           q prop_journal_roundtrip;
           q prop_decoders_total;
@@ -827,6 +987,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "handler" `Quick test_handle;
+          Alcotest.test_case "page get allocates its frame once" `Quick
+            test_page_get_allocation;
           Alcotest.test_case "tcp session" `Quick test_tcp_session;
           Alcotest.test_case "two interleaved clients" `Quick
             test_two_interleaved_clients;
@@ -854,5 +1016,11 @@ let () =
             test_half_close_after_pipelined_batch;
           Alcotest.test_case "coalesced replies keep order and bytes" `Quick
             test_coalesced_replies_keep_order;
+          Alcotest.test_case "half-close with parsing paused" `Quick
+            test_half_close_with_parsing_paused;
+          Alcotest.test_case "oversized header while paused" `Quick
+            test_oversized_header_while_paused;
+          Alcotest.test_case "order past the output budget" `Quick
+            test_order_past_the_budget;
         ] );
     ]
