@@ -1,8 +1,9 @@
 (* Multi-client serving throughput over the real TCP server.  One server
    process runs the select event loop over an in-memory db; 1/4/16
    concurrent client processes each run a closed-loop put+get workload on
-   private keys.  A second row pipelines reads of one 64 KiB Blob page,
-   the shape of perfbench's wiki bulk-get round.  The durable served path
+   private keys.  Two more rows pipeline reads of one 64 KiB Blob page and
+   puts of 64-byte edits to it, the shape of perfbench's wiki bulk-get and
+   bulk-put rounds.  The durable served path
    (group-commit fsyncs, acks per fsync) is measured by perfbench's kv
    workload. *)
 
@@ -86,6 +87,52 @@ let page_reads ~rounds ~in_flight =
   Procs.reap server;
   float_of_int (rounds * in_flight) /. elapsed
 
+(* One connection writes [in_flight] puts of a 64 KiB page in one write,
+   each the one before with one more 64-byte overwrite, then reads every
+   uid; [rounds] times.  Only the writes and reads are timed: the batch is
+   encoded between them. *)
+let page_puts ~rounds ~in_flight =
+  let server = spawn_server () in
+  let port = Procs.port server in
+  let c = Client.connect ~retries:20 ~port () in
+  let page = ref (Workload.Text_edit.initial_page ~seed:1L ~size:65536) in
+  let (_ : Fbchunk.Cid.t) = Client.put c ~key:"page" (Wire.Blob !page) in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Wire.no_delay fd;
+  let edits = ref 0 in
+  let put () =
+    incr edits;
+    let pos = !edits * 7919 mod (String.length !page - 64) in
+    let patch = String.make 64 (Char.chr (Char.code 'a' + (!edits mod 26))) in
+    page := Workload.Text_edit.apply !page (Workload.Text_edit.Overwrite (pos, patch));
+    Wire.encode_frame
+      (Wire.encode_request
+         (Wire.Put { key = "page"; branch = "master"; context = ""; value = Wire.Blob !page }))
+  in
+  let elapsed = ref 0. in
+  for _ = 1 to rounds do
+    let batch = String.concat "" (List.init in_flight (fun _ -> put ())) in
+    let t, () =
+      Bench_util.time_it (fun () ->
+          ignore (Unix.write_substring fd batch 0 (String.length batch));
+          for _ = 1 to in_flight do
+            match Option.map Wire.decode_response (Wire.read_frame fd) with
+            | Some (Wire.Uid _) -> ()
+            | _ -> failwith "page put: not answered by a uid"
+          done)
+    in
+    elapsed := !elapsed +. t
+  done;
+  (match Client.get c ~key:"page" with
+  | Wire.Blob b when String.equal b !page -> ()
+  | _ -> failwith "page put: the last put does not read back");
+  Unix.close fd;
+  Client.quit_server c;
+  Client.close c;
+  Procs.reap server;
+  float_of_int (rounds * in_flight) /. !elapsed
+
 (* Major-heap bytes one served page get allocates, response frame
    included: measured in process over the handler and the frame encoder. *)
 let page_get_major_bytes () =
@@ -117,6 +164,14 @@ let page_gets scale =
     [ string_of_int rounds; string_of_int in_flight; Printf.sprintf "%.0f" tput;
       Printf.sprintf "%.0f" major ]
 
+let page_puts_row scale =
+  Bench_util.section "Remote serving: pipelined 64 KiB page puts, 64-byte edits (one connection)";
+  let rounds = Bench_util.pick scale 4 16 and in_flight = 256 in
+  let tput = page_puts ~rounds ~in_flight in
+  Bench_json.metric ~name:"pipelined_page_puts_per_s" ~value:tput ~unit:"puts/s";
+  Bench_util.row_header [ "rounds"; "in flight"; "puts/s" ];
+  Bench_util.row [ string_of_int rounds; string_of_int in_flight; Printf.sprintf "%.0f" tput ]
+
 let remote scale =
   Bench_util.section
     "Remote serving: multi-client throughput (select event loop)";
@@ -139,4 +194,5 @@ let remote scale =
           string_of_int s.Wire.closed_err;
         ])
     [ 1; 4; 16 ];
-  page_gets scale
+  page_gets scale;
+  page_puts_row scale

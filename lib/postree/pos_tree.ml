@@ -170,6 +170,17 @@ module Make (E : ELEM) = struct
       if found <> None then lb_cut b
     done
 
+  (* Bring a fresh builder to where [lb_add_bytes] of [s.[off..off+len)]
+     would leave it, for bytes known to hold no cut: they are copied, and
+     only their last [window] bytes are rolled, since a hash over a full
+     window depends on nothing before it. *)
+  let lb_resume b s ~off ~len =
+    Buffer.add_substring b.lb_body s off len;
+    b.lb_count <- b.lb_count + len;
+    for i = max off (off + len - b.lb_cfg.Tree_config.window) to off + len - 1 do
+      Rolling.any_roll b.lb_roll (String.unsafe_get s i)
+    done
+
   type index_builder = {
     ib_store : Store.t;
     ib_mask : int;
@@ -669,9 +680,14 @@ module Make (E : ELEM) = struct
 
   (* Byte-native splice (Blob).  The chunker resets at every cut, so the
      cut before the leaf holding [pos] depends only on bytes before it:
-     re-rolling starts at that leaf's first byte, or at the last leaf's for
-     an edit at the end, since that residual cut holds only while it stays
-     final.  Old bytes are then fed straight from the base's leaf payloads
+     the new leaf starts at that leaf's first byte, or at the last leaf's
+     for an edit at the end, since that residual cut holds only while it
+     stays final.  The old leaf has no cut before its last byte, so its
+     bytes up to [pos - 1] are resumed ([lb_resume]) rather than re-rolled
+     for cuts.  The byte just before [pos] is re-checked with the edit:
+     an append lands after a last leaf's final byte, where the old leaf
+     may end on a content-defined cut.  Old bytes are then fed straight
+     from the base's leaf payloads
      until a new cut lands on an old leaf start past the edit; the leaves
      from there on are reused, and [rebuild_levels] re-splits only the
      index path above the edit. *)
@@ -685,7 +701,12 @@ module Make (E : ELEM) = struct
       let fresh = ref [] in
       let lb = leaf_builder t.store t.cfg (fun r -> fresh := r :: !fresh) in
       let payload, off, _ = leaf_bytes t first in
-      lb_add_bytes lb (String.sub payload off (pos - cum.(first)) ^ ins) ~off:0;
+      let pre = pos - cum.(first) in
+      if pre = 0 then lb_add_bytes lb ins ~off:0
+      else begin
+        lb_resume lb payload ~off ~len:(pre - 1);
+        lb_add_bytes lb (String.make 1 payload.[off + pre - 1] ^ ins) ~off:0
+      end;
       let p = ref (pos + del) in
       let j = ref (if !p < total then leaf_of_pos t !p else n) in
       while !j < n && not (lb.lb_count = 0 && !p = cum.(!j)) do

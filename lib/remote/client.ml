@@ -36,7 +36,11 @@ let connect ?(host = "127.0.0.1") ?(retries = 0) ?(backoff = 0.02)
   let rec attempt left delay =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_INET (addr, port)) with
-    | () -> { fd }
+    | () ->
+        (* a frame over 64 KiB is two writes; its tail must not wait on
+           Nagle for the server's delayed ACK *)
+        Wire.no_delay fd;
+        { fd }
     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when left > 0 ->
         Unix.close fd;
         Unix.sleepf delay;
@@ -47,6 +51,7 @@ let connect ?(host = "127.0.0.1") ?(retries = 0) ?(backoff = 0.02)
   in
   attempt retries backoff
 
+let fd t = t.fd
 let close t = Unix.close t.fd
 
 let call t req =

@@ -38,7 +38,11 @@ val connect :
     a resolvable name).  A transient [ECONNREFUSED] (typically a race
     against server startup) is retried up to [retries] times (default 0),
     sleeping [backoff] seconds (default 0.02) doubled after every attempt
-    and capped at [max_backoff] (default 1.0). *)
+    and capped at [max_backoff] (default 1.0).  The socket has
+    [TCP_NODELAY] set, as the server's are ({!Wire.no_delay}). *)
+
+val fd : t -> Unix.file_descr
+(** The connected socket, for inspecting its options. *)
 
 val close : t -> unit
 val call : t -> Wire.request -> Wire.response

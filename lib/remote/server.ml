@@ -305,8 +305,9 @@ let default_config =
 (* What a finished connection should be counted as. *)
 type close_reason = Ok_close | Err_close | Timeout_close
 
-(* One client connection.  [rbuf] holds received bytes from [rpos] on
-   not yet parsed (frames are reassembled across partial reads); [wcur]/
+(* One client connection.  The socket is read straight into [rbuf], whose
+   bytes [rpos .. rlen) are received and not yet parsed (frames are
+   reassembled across partial reads, and decoded where they lie); [wcur]/
    [wpos] plus [wqueue] hold encoded response frames awaiting the socket,
    resumed across partial writes.  [queued] counts the bytes of every
    response produced and not yet written, parked ones included.  A
@@ -316,8 +317,9 @@ type close_reason = Ok_close | Err_close | Timeout_close
    answered. *)
 type conn = {
   fd : Unix.file_descr;
-  rbuf : Buffer.t;
+  mutable rbuf : Bytes.t;
   mutable rpos : int;
+  mutable rlen : int;
   wqueue : string Queue.t;
   mutable wcur : string;
   mutable wpos : int;
@@ -356,17 +358,20 @@ let read_budget = 1 lsl 20
 let join_cap = 65536
 let out_budget = 256 * 1024
 
-(* What the input in [rbuf] starting at [at] holds first. *)
+(* The least free space a connection's read buffer offers each read. *)
+let read_room = 65536
+
+(* What a connection's unparsed input starting at [at] holds first. *)
 type next_frame =
   | Frame of int  (* a complete frame, its body that many bytes *)
   | Oversized of string  (* a header announcing more than the limit *)
   | Partial  (* the start of a frame, or nothing *)
 
-let frame_at ~max_frame_bytes rbuf at =
-  let avail = Buffer.length rbuf - at in
+let frame_at ~max_frame_bytes c at =
+  let avail = c.rlen - at in
   if avail < Wire.header_bytes then Partial
   else
-    let byte i = Buffer.nth rbuf (at + i) in
+    let byte i = Bytes.get c.rbuf (at + i) in
     let n = Wire.frame_length (byte 0) (byte 1) (byte 2) (byte 3) in
     match Wire.check_frame_length ~max_frame_bytes n with
     | exception Fbutil.Codec.Corrupt msg -> Oversized msg
@@ -398,7 +403,7 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     Hashtbl.remove conns c.fd;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   in
-  let frame_at c = frame_at ~max_frame_bytes:config.max_frame_bytes c.rbuf in
+  let frame_at = frame_at ~max_frame_bytes:config.max_frame_bytes in
   (* Every response frame is built in this one buffer and copied out
      once. *)
   let out = Buffer.create join_cap in
@@ -411,15 +416,17 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
      [group_commit] fsync makes the whole batch durable and every parked
      acknowledgement is released at once.  N concurrent writers pay one
      fsync per round instead of one each, with unchanged per-ack
-     durability (no ack leaves before its entry is on disk). *)
-  let pending : (conn * string) Queue.t = Queue.create () in
+     durability (no ack leaves before its entry is on disk).  Each parked
+     frame says whether it acknowledges a durable write: answers parked
+     only to stay behind one ([holding]) are not counted as acks. *)
+  let pending : (conn * string * bool) Queue.t = Queue.create () in
   let release_pending () =
     if not (Queue.is_empty pending) then begin
       (match group_commit with Some sync -> sync () | None -> ());
       k.group_commits <- k.group_commits + 1;
-      k.acks_released <- k.acks_released + Queue.length pending;
       Queue.iter
-        (fun ((c : conn), frame) ->
+        (fun ((c : conn), frame, ack) ->
+          if ack then k.acks_released <- k.acks_released + 1;
           c.holding <- false;
           (* The connection may have died between park and release (reaped,
              faulted on its write side); only enqueue on the live struct
@@ -432,13 +439,13 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
       Queue.clear pending
     end
   in
-  let park_or_respond c ~held resp =
+  let park_or_respond c ~ack resp =
     let frame = Wire.response_frame out resp in
     c.queued <- c.queued + String.length frame;
     if c.queued > k.out_peak then k.out_peak <- c.queued;
-    if held then begin
+    if ack || c.holding then begin
       c.holding <- true;
-      Queue.push (c, frame) pending
+      Queue.push (c, frame, ack) pending
     end
     else enqueue c frame
   in
@@ -471,7 +478,9 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
   in
   (* Parse the complete frames in [c.rbuf], until the connection's
      unwritten output reaches [out_budget]; the rest wait for a later
-     round. *)
+     round.  A request is decoded where it lies: the decoder copies every
+     string it returns, so nothing decoded aliases [rbuf], which later
+     reads overwrite. *)
   let process_frames c =
     let continue = ref true in
     while !continue && (not c.draining) && c.queued < out_budget do
@@ -481,57 +490,50 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
           (* Protocol violation.  Reply with an error (never allocating
              the announced body) and drop the connection — the stream
              position is unrecoverable. *)
-          park_or_respond c ~held:c.holding (Wire.Error ("bad request: " ^ msg));
+          park_or_respond c ~ack:false (Wire.Error ("bad request: " ^ msg));
           drain c Err_close
       | Frame n ->
-          let frame = Buffer.sub c.rbuf (c.rpos + Wire.header_bytes) n in
-          c.rpos <- c.rpos + Wire.header_bytes + n;
+          let body = c.rpos + Wire.header_bytes in
+          c.rpos <- body + n;
           k.frames_in <- k.frames_in + 1;
-          let held, response =
-            match Wire.decode_request frame with
+          let ack, response =
+            match
+              Wire.decode_request_sub (Bytes.unsafe_to_string c.rbuf) ~pos:body ~len:n
+            with
             | exception Fbutil.Codec.Corrupt msg ->
                 (* The frame boundary held but the body is not a request:
                    the same protocol violation as an oversized frame —
                    answer, then drop the connection. *)
                 drain c Err_close;
-                (c.holding, Wire.Error ("bad request: " ^ msg))
+                (false, Wire.Error ("bad request: " ^ msg))
             | Wire.Quit ->
                 drain c Ok_close;
                 begin_shutdown ();
-                (c.holding, Wire.Ok_unit)
+                (false, Wire.Ok_unit)
             | req ->
-                (* Once one response of this connection is parked, every
+                (* A durable write's ack waits for the round's commit.
+                   Once one response of this connection is parked, every
                    later one this round queues behind it, whatever its
                    request type, to preserve response order. *)
-                let held =
-                  c.holding
-                  || Option.is_some group_commit
-                     && Option.is_none redirect && durable_write req
-                in
-                ( held,
+                ( Option.is_some group_commit
+                  && Option.is_none redirect && durable_write req,
                   try
                     with_counters
                       (handle ?checkpoint ?journal ?redirect ?shard db req)
                   with e -> Wire.Error (Printexc.to_string e) )
           in
-          park_or_respond c ~held response
+          park_or_respond c ~ack response
     done;
     (* Drop the parsed prefix once it is most of the buffer: a paused
        pipeline is parsed in many slices, and moving its tail after each
        would copy it again and again. *)
-    let len = Buffer.length c.rbuf in
-    if c.rpos = len then begin
-      Buffer.clear c.rbuf;
-      c.rpos <- 0
-    end
-    else if c.rpos > len / 2 then begin
-      let rest = Buffer.sub c.rbuf c.rpos (len - c.rpos) in
-      Buffer.clear c.rbuf;
-      Buffer.add_string c.rbuf rest;
+    if c.rpos = c.rlen || c.rpos > c.rlen / 2 then begin
+      Bytes.blit c.rbuf c.rpos c.rbuf 0 (c.rlen - c.rpos);
+      c.rlen <- c.rlen - c.rpos;
       c.rpos <- 0
     end;
     (* the peer is gone and every frame it sent is answered *)
-    if c.eof && c.rpos = Buffer.length c.rbuf && not c.draining then
+    if c.eof && c.rpos = c.rlen && not c.draining then
       drain c Ok_close
   in
   (* Parsing paused at the budget resumes once enough output is written:
@@ -544,9 +546,8 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
      back by the budget are pending work; only a frame cut short means the
      peer vanished mid-request. *)
   let ends_mid_frame c =
-    let len = Buffer.length c.rbuf in
     let rec walk at =
-      at < len
+      at < c.rlen
       &&
       match frame_at c at with
       | Partial -> true
@@ -555,7 +556,22 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     in
     walk c.rpos
   in
-  let scratch = Bytes.create 65536 in
+  (* Make [read_room] bytes free after [rlen]: move the unparsed bytes
+     to the front, into a larger buffer if they need one. *)
+  let reserve c =
+    let size = Bytes.length c.rbuf in
+    if size - c.rlen < read_room then begin
+      let live = c.rlen - c.rpos in
+      let buf =
+        if live + read_room <= size then c.rbuf
+        else Bytes.create (max (2 * size) (live + read_room))
+      in
+      Bytes.blit c.rbuf c.rpos buf 0 live;
+      c.rbuf <- buf;
+      c.rlen <- live;
+      c.rpos <- 0
+    end
+  in
   (* Drain the socket, then parse every complete frame at once, so the
      round's one group commit covers all of them.  The budget bounds
      bytes read, not bytes buffered: a frame of exactly [max_frame_bytes]
@@ -563,15 +579,19 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
   let handle_readable c =
     let rec fill got =
       if got >= read_budget then `Open
-      else
-        match Wire.read_nb c.fd scratch with
+      else begin
+        reserve c;
+        match
+          Wire.read_nb c.fd c.rbuf ~pos:c.rlen ~len:(Bytes.length c.rbuf - c.rlen)
+        with
         | Wire.Nb_nothing -> `Open
         | Wire.Nb_read_error -> `Error
         | Wire.Nb_eof -> `Eof
         | Wire.Nb_read n ->
             c.last_active <- now ();
-            Buffer.add_subbytes c.rbuf scratch 0 n;
+            c.rlen <- c.rlen + n;
             fill (got + n)
+      end
     in
     let ended = fill 0 in
     if ended = `Eof then c.eof <- true;
@@ -650,8 +670,9 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
           Hashtbl.replace conns fd
             {
               fd;
-              rbuf = Buffer.create 256;
+              rbuf = Bytes.empty;
               rpos = 0;
+              rlen = 0;
               wqueue = Queue.create ();
               wcur = "";
               wpos = 0;

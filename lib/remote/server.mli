@@ -35,7 +35,8 @@ type counters = {
       (** batched fsyncs performed by the group-commit path (one per
           event-loop round with parked write acks) *)
   mutable acks_released : int;
-      (** write acknowledgements released by group commits;
+      (** durable-write acknowledgements released by group commits (not
+          the answers parked behind them to keep a connection's order);
           [acks_released / group_commits] is the amortization factor *)
   mutable out_peak : int;
       (** the most response bytes one connection had produced and not yet

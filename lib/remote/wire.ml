@@ -214,6 +214,7 @@ let encode_shard_map = C.encode shard_map
 let decode_shard_map = C.decode shard_map
 let encode_request = C.encode ~size:128 request
 let decode_request = C.decode request
+let decode_request_sub s ~pos ~len = C.decode_sub request s ~pos ~len
 let encode_response = C.encode ~size:128 response
 let decode_response = C.decode response
 
@@ -322,8 +323,9 @@ let read_frame ?(max_frame_bytes = default_max_frame_bytes) fd =
 
 type nb_read = Nb_read of int | Nb_eof | Nb_nothing | Nb_read_error
 
-let read_nb fd buf =
-  match Unix.read fd buf 0 (Bytes.length buf) with
+let read_nb ?(pos = 0) ?len fd buf =
+  let len = match len with Some n -> n | None -> Bytes.length buf - pos in
+  match Unix.read fd buf pos len with
   | 0 -> Nb_eof
   | n -> Nb_read n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -341,9 +343,19 @@ let rec write_nb fd s ~pos ~len =
       Nb_blocked
   | exception Unix.Unix_error _ -> Nb_write_error
 
+(* Served sockets send without Nagle's algorithm: the server already
+   joins small answers into writes of up to 64 KiB, and Nagle would only
+   hold a short ack write until the client's delayed ACK (~40 ms) when the
+   client has nothing more to send. *)
+let no_delay fd =
+  (* a socket that cannot take the option is served as it is *)
+  try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
+
 let accept_nb fd =
   match Unix.accept fd with
-  | conn -> Some conn
+  | (conn, _) as accepted ->
+      no_delay conn;
+      Some accepted
   | exception Unix.Unix_error _ ->
       (* EAGAIN/EWOULDBLOCK/EINTR and genuine accept errors alike: nothing
          usable was accepted this round; the select loop comes back. *)

@@ -101,7 +101,8 @@ type stats = {
   group_commits : int;
       (** batched fsyncs performed by the server's group-commit path *)
   acks_released : int;
-      (** write acknowledgements released by group commits; divided by
+      (** durable-write acknowledgements released by group commits (reads
+          parked behind them are not counted); divided by
           [group_commits] this is the amortization factor (acks per
           fsync) *)
   shard_index : int;
@@ -151,6 +152,13 @@ type response =
 
 val encode_request : request -> string
 val decode_request : string -> request
+
+val decode_request_sub : string -> pos:int -> len:int -> request
+(** [decode_request_sub s ~pos ~len] decodes the request in
+    [s.[pos .. pos+len)] without copying it out first, and never reads
+    outside that range (see {!Fbutil.Codec.decode_sub}).  The decoded
+    request shares no bytes with [s], so [s] may be reused afterwards. *)
+
 val encode_response : response -> string
 val decode_response : string -> response
 
@@ -219,8 +227,9 @@ type nb_read =
   | Nb_nothing  (** [EAGAIN]/[EWOULDBLOCK]/[EINTR]: retry after select *)
   | Nb_read_error  (** the connection is unusable; close it *)
 
-val read_nb : Unix.file_descr -> Bytes.t -> nb_read
-(** Read once into [buf] from a nonblocking socket. *)
+val read_nb : ?pos:int -> ?len:int -> Unix.file_descr -> Bytes.t -> nb_read
+(** Read once into [buf.[pos .. pos+len)] (default: from 0 to the end)
+    from a nonblocking socket. *)
 
 type nb_write =
   | Nb_wrote of int  (** a (possibly partial) write succeeded *)
@@ -231,11 +240,18 @@ val write_nb : Unix.file_descr -> string -> pos:int -> len:int -> nb_write
 (** Write once from [s.[pos..pos+len)]; retries [EINTR] internally.  The
     source is a string, so an encoded frame goes out without a copy. *)
 
+val no_delay : Unix.file_descr -> unit
+(** Switch Nagle's algorithm off ([TCP_NODELAY]); a no-op on a socket
+    that refuses the option.  Both ends of every ForkBase connection set
+    it: a write that Nagle holds back waits for the peer's delayed ACK
+    (~40 ms) whenever the peer has nothing of its own to send. *)
+
 val accept_nb :
   Unix.file_descr -> (Unix.file_descr * Unix.sockaddr) option
 (** Accept once from a nonblocking listener; [None] when nothing usable
     was accepted (would-block, interrupted, or a transient accept error) —
-    the select loop simply comes back. *)
+    the select loop simply comes back.  An accepted TCP socket has
+    [TCP_NODELAY] set (see {!no_delay}). *)
 
 val select_nb :
   Unix.file_descr list ->

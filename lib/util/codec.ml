@@ -32,14 +32,17 @@ let option buf enc = function
   | None -> bool buf false
   | Some x -> bool buf true; enc buf x
 
-type reader = { src : string; mutable pos : int }
+(* A cursor over [src.[pos .. stop)]: every bounds check is against
+   [stop], so a value decoded from the middle of a larger buffer never
+   reads past its own bytes. *)
+type reader = { src : string; mutable pos : int; stop : int }
 
-let reader ?(pos = 0) src = { src; pos }
+let reader ?(pos = 0) src = { src; pos; stop = String.length src }
 let pos r = r.pos
-let at_end r = r.pos >= String.length r.src
+let at_end r = r.pos >= r.stop
 
 let read_byte r =
-  if r.pos >= String.length r.src then corrupt "unexpected end of input at %d" r.pos;
+  if r.pos >= r.stop then corrupt "unexpected end of input at %d" r.pos;
   let c = String.unsafe_get r.src r.pos in
   r.pos <- r.pos + 1;
   c
@@ -67,9 +70,8 @@ let read_int64_le r =
   !x
 
 let read_raw r n =
-  if n < 0 || n > String.length r.src - r.pos then
-    corrupt "raw read of %d bytes overruns input (pos %d, len %d)" n r.pos
-      (String.length r.src);
+  if n < 0 || n > r.stop - r.pos then
+    corrupt "raw read of %d bytes overruns input (pos %d, end %d)" n r.pos r.stop;
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
@@ -105,11 +107,17 @@ let encode ?(size = 64) c v =
   c.write buf v;
   Buffer.contents buf
 
-let decode c s =
-  let r = reader s in
+let decode_reader c r =
   let v = c.read r in
   expect_end r;
   v
+
+let decode c s = decode_reader c (reader s)
+
+let decode_sub c s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Codec.decode_sub: range outside the string";
+  decode_reader c { src = s; pos; stop = pos + len }
 
 let uint = { write = varint; read = read_varint }
 let str = { write = string; read = read_string }

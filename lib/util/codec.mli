@@ -28,7 +28,7 @@ val option : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
 (** {1 Reading} *)
 
 type reader
-(** A cursor over an immutable string. *)
+(** A cursor over an immutable string ({!reader} reads all of it). *)
 
 val reader : ?pos:int -> string -> reader
 val pos : reader -> int
@@ -58,6 +58,13 @@ val encode : ?size:int -> 'a t -> 'a -> string
 
 val decode : 'a t -> string -> 'a
 (** One value, then {!expect_end}.  @raise Corrupt on malformed input. *)
+
+val decode_sub : 'a t -> string -> pos:int -> len:int -> 'a
+(** [decode_sub c s ~pos ~len] is [decode c (String.sub s pos len)]
+    without the copy: the reader never looks outside [s.[pos .. pos+len)],
+    so a value cut short raises {!Corrupt} even when the bytes after it
+    would complete it.  Decoded strings are copies, never views of [s].
+    @raise Invalid_argument if the range is outside [s]. *)
 
 val uint : int t
 val str : string t

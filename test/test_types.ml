@@ -262,6 +262,62 @@ let qcheck_blob_differential =
     (QCheck.make ~print differential_case)
     prop_differential
 
+(* The byte splice resumes the edited leaf's bytes before the edit
+   without looking for cuts, rolls only their last [window] bytes, and
+   re-checks the byte just before the edit.  Edits where that could slip —
+   a leaf's first bytes, either side of one window, its last byte — and
+   appends after a last leaf that ends on a content-defined cut or on a
+   residual one all give [create]'s root, for every rolling family. *)
+let test_blob_splice_window_edges () =
+  let rng = Random.State.make [| 24 |] in
+  let page = String.init 8000 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  List.iter
+    (fun (name, rolling) ->
+      let cfg = { (Fbtree.Tree_config.with_leaf_bits 8) with rolling } in
+      let w = cfg.window in
+      let store = fresh () in
+      let splice what s ~pos ~del ~ins =
+        let n = String.length s in
+        let edited = String.sub s 0 pos ^ ins ^ String.sub s (pos + del) (n - pos - del) in
+        Alcotest.(check bool) (Printf.sprintf "%s: %s" name what) true
+          (Fblob.equal
+             (Fblob.splice (Fblob.create store cfg s) ~pos ~del ~ins)
+             (Fblob.create store cfg edited))
+      in
+      let starts = Array.of_list (leaf_starts cfg page) in
+      let n_leaves = Array.length starts in
+      Alcotest.(check bool) (name ^ ": the page has several leaves") true (n_leaves >= 4);
+      List.iter
+        (fun leaf ->
+          let start = starts.(leaf) and stop = starts.(leaf + 1) in
+          List.iter
+            (fun off ->
+              let pos = start + off in
+              let at = Printf.sprintf "leaf %d offset %d" leaf off in
+              splice ("overwrite at " ^ at) page ~pos ~del:1 ~ins:"#";
+              splice ("insert at " ^ at) page ~pos ~del:0 ~ins:"inserted bytes";
+              splice ("delete at " ^ at) page ~pos ~del:1 ~ins:"")
+            [ 0; 1; w - 1; w; w + 1; stop - start - 1 ])
+        [ 0; n_leaves / 2 ];
+      (* A leaf shorter than the maximum ended on a content-defined cut. *)
+      let leaf =
+        let rec find i =
+          if i >= n_leaves then Alcotest.fail (name ^ ": no content-defined cut")
+          else if starts.(i) - starts.(i - 1) < cfg.max_leaf_bytes then i
+          else find (i + 1)
+        in
+        find 1
+      in
+      let at_cut = String.sub page 0 starts.(leaf) in
+      let tail = String.sub page starts.(leaf) 300 in
+      List.iter
+        (fun (what, s) ->
+          splice ("append one byte after " ^ what) s ~pos:(String.length s) ~del:0 ~ins:"!";
+          splice ("append after " ^ what) s ~pos:(String.length s) ~del:0 ~ins:tail)
+        [ ("a content-defined cut", at_cut);
+          ("a residual last leaf", String.sub page 0 (starts.(leaf) + 10)) ])
+    Fbhash.Rolling.[ ("cyclic", Cyclic_poly); ("rabin", Rabin_karp); ("sum", Moving_sum) ]
+
 let test_blob_dedup_versions () =
   let store = fresh () in
   let page = String.init 15_000 (fun i -> Char.chr (65 + ((i * 7) mod 26))) in
@@ -505,6 +561,8 @@ let () =
           q qcheck_blob_splice;
           q qcheck_blob_diff_region;
           q qcheck_blob_differential;
+          Alcotest.test_case "splice at the re-roll window's edges" `Quick
+            test_blob_splice_window_edges;
           Alcotest.test_case "version dedup" `Quick test_blob_dedup_versions;
         ] );
       ( "list",
