@@ -42,7 +42,7 @@ val connect :
     [TCP_NODELAY] set, as the server's are ({!Wire.no_delay}). *)
 
 val fd : t -> Unix.file_descr
-(** The connected socket, for inspecting its options. *)
+(** The connected socket, for inspecting or changing its options. *)
 
 val close : t -> unit
 val call : t -> Wire.request -> Wire.response

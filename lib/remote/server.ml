@@ -524,13 +524,13 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
           in
           park_or_respond c ~ack response
     done;
-    (* Drop the parsed prefix once it is most of the buffer: a paused
-       pipeline is parsed in many slices, and moving its tail after each
-       would copy it again and again. *)
-    if c.rpos = c.rlen || c.rpos > c.rlen / 2 then begin
-      Bytes.blit c.rbuf c.rpos c.rbuf 0 (c.rlen - c.rpos);
-      c.rlen <- c.rlen - c.rpos;
-      c.rpos <- 0
+    (* Everything read is parsed: the next read starts at the front.
+       Unparsed bytes stay where they are until a read needs their room
+       ([reserve]), so a paused pipeline parsed in many slices does not
+       move its tail after each. *)
+    if c.rpos = c.rlen then begin
+      c.rpos <- 0;
+      c.rlen <- 0
     end;
     (* the peer is gone and every frame it sent is answered *)
     if c.eof && c.rpos = c.rlen && not c.draining then
@@ -557,7 +557,8 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
     walk c.rpos
   in
   (* Make [read_room] bytes free after [rlen]: move the unparsed bytes
-     to the front, into a larger buffer if they need one. *)
+     to the front, into a larger buffer if they need one.  This is the
+     only place they move. *)
   let reserve c =
     let size = Bytes.length c.rbuf in
     if size - c.rlen < read_room then begin

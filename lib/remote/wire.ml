@@ -323,8 +323,7 @@ let read_frame ?(max_frame_bytes = default_max_frame_bytes) fd =
 
 type nb_read = Nb_read of int | Nb_eof | Nb_nothing | Nb_read_error
 
-let read_nb ?(pos = 0) ?len fd buf =
-  let len = match len with Some n -> n | None -> Bytes.length buf - pos in
+let read_nb fd buf ~pos ~len =
   match Unix.read fd buf pos len with
   | 0 -> Nb_eof
   | n -> Nb_read n

@@ -227,9 +227,8 @@ type nb_read =
   | Nb_nothing  (** [EAGAIN]/[EWOULDBLOCK]/[EINTR]: retry after select *)
   | Nb_read_error  (** the connection is unusable; close it *)
 
-val read_nb : ?pos:int -> ?len:int -> Unix.file_descr -> Bytes.t -> nb_read
-(** Read once into [buf.[pos .. pos+len)] (default: from 0 to the end)
-    from a nonblocking socket. *)
+val read_nb : Unix.file_descr -> Bytes.t -> pos:int -> len:int -> nb_read
+(** Read once into [buf.[pos .. pos+len)] from a nonblocking socket. *)
 
 type nb_write =
   | Nb_wrote of int  (** a (possibly partial) write succeeded *)
