@@ -182,7 +182,9 @@ let client_puts ~size ~puts ~reps =
 let page_get_major_bytes () =
   let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
   let page = Workload.Text_edit.initial_page ~seed:1L ~size:65536 in
-  let (_ : Fbchunk.Cid.t) = Forkbase.Db.put_blob db ~key:"page" page in
+  let (_ : Fbchunk.Cid.t) =
+    Forkbase.Db.put_blob db ~key:"page" ~pos:0 ~len:(String.length page) page
+  in
   let buf = Buffer.create 16 in
   let get () =
     Wire.response_frame buf (Server.handle db (Wire.Get { key = "page"; branch = "master" }))

@@ -147,7 +147,8 @@ let put_cmd =
     let uid =
       routed via
         ~local:(fun db ->
-          if as_blob then Db.put_blob ~branch ~context db ~key value
+          if as_blob then
+            Db.put_blob ~branch ~context db ~key ~pos:0 ~len:(String.length value) value
           else Db.put ~branch ~context db ~key (Db.str value))
         ~remote:(fun d ->
           Dispatch.put ~branch ~context d ~key

@@ -42,5 +42,16 @@ let decode s =
   if String.length s = 0 then raise (Fbutil.Codec.Corrupt "empty chunk");
   { tag = tag_of_byte s.[0]; payload = String.sub s 1 (String.length s - 1) }
 
-let cid t = Cid.digest (encode t)
+let output oc t =
+  output_char oc (tag_to_byte t.tag);
+  output_string oc t.payload
+
+(* The digest of [encode t], fed in two parts so the chunk is not copied
+   to be hashed. *)
+let cid t =
+  let ctx = Fbhash.Sha256.init () in
+  Fbhash.Sha256.feed_string ctx (String.make 1 (tag_to_byte t.tag));
+  Fbhash.Sha256.feed_string ctx t.payload;
+  Cid.of_raw (Fbhash.Sha256.finalize ctx)
+
 let byte_size t = 1 + String.length t.payload

@@ -19,11 +19,16 @@ type t = private { tag : tag; payload : string }
 
 val v : tag -> string -> t
 val cid : t -> Cid.t
-(** SHA-256 of {!encode}d bytes. *)
+(** SHA-256 of {!encode}d bytes, hashed from the tag and the payload
+    without building them. *)
 
 val byte_size : t -> int
 (** Serialized size (payload + 1 tag byte). *)
 
 val encode : t -> string
+
+val output : out_channel -> t -> unit
+(** Write the bytes of {!encode} to the channel without building them. *)
+
 val decode : string -> t
 (** @raise Fbutil.Codec.Corrupt on an invalid tag byte or empty input. *)

@@ -176,15 +176,23 @@ let cache t e chunk =
     Queue.push e t.resident
   end
 
+(* Start a record of [len] body bytes at the end of the log (buffered):
+   write its length header, and return where the body will start.  The
+   caller writes exactly [len] bytes next. *)
+let begin_record t len =
+  let header = Buffer.create 4 in
+  Fbutil.Codec.varint header len;
+  Buffer.output_buffer t.oc header;
+  let data = t.tail + Buffer.length header in
+  t.tail <- data + len;
+  data
+
 (* Frame [body] at the end of the log (buffered); returns the record's
    offset. *)
 let append t body =
   let off = t.tail in
-  let header = Buffer.create 4 in
-  Fbutil.Codec.varint header (String.length body);
-  Buffer.output_buffer t.oc header;
+  let (_ : int) = begin_record t (String.length body) in
   output_string t.oc body;
-  t.tail <- off + Buffer.length header + String.length body;
   off
 
 let append_entry t payload =
@@ -209,10 +217,12 @@ let put t chunk =
   t.stats.puts <- t.stats.puts + 1;
   (if Cid.Tbl.mem t.index cid then t.stats.dedup_hits <- t.stats.dedup_hits + 1
    else begin
-     let encoded = Chunk.encode chunk in
-     let len = String.length encoded in
-     let (_ : int) = append t encoded in
-     let e = { off = t.tail - len; len; cached = None } in
+     (* the record [append t (Chunk.encode chunk)] writes, without the
+        copy *)
+     let len = Chunk.byte_size chunk in
+     let off = begin_record t len in
+     Chunk.output t.oc chunk;
+     let e = { off; len; cached = None } in
      Cid.Tbl.replace t.index cid e;
      cache t e chunk;
      t.stats.chunks <- t.stats.chunks + 1;

@@ -151,15 +151,21 @@ let put_with ~branch ~context t ~key value_of =
 let put ?(branch = default_branch) ?(context = "") t ~key value =
   put_with ~branch ~context t ~key (fun _ -> value)
 
-let put_blob ?(branch = default_branch) ?(context = "") t ~key s =
+(* The page [s.[pos .. pos+len)] may lie in a buffer that is overwritten
+   once this returns (a server's read buffer): the splice copies only the
+   middle it inserts, and a build from scratch copies the span first. *)
+let put_blob ?(branch = default_branch) ?(context = "") t ~key ~pos ~len s =
+  let build () = blob t (String.sub s pos len) in
   put_with ~branch ~context t ~key @@ function
   | [ (_, { Fobject.kind = Value.Kblob; data; _ }) ] -> (
       (* a head whose tree lives elsewhere (a scattered put) has nothing
          local to splice *)
-      match Fbtypes.Fblob.(update (of_root t.store t.cfg (Cid.of_raw data)) s) with
+      match
+        Fbtypes.Fblob.(update (of_root t.store t.cfg (Cid.of_raw data)) ~pos ~len s)
+      with
       | b -> Value.Blob b
-      | exception Store.Missing_chunk _ -> blob t s)
-  | _ -> blob t s
+      | exception Store.Missing_chunk _ -> build ())
+  | _ -> build ()
 
 let put_guarded ?(branch = default_branch) ?(context = "") t ~key ~guard value =
   check t ~key ~branch:(Some branch) Write @@ fun () ->

@@ -95,11 +95,15 @@ val put :
     absent); returns the new version uid. *)
 
 val put_blob :
-  ?branch:string -> ?context:string -> t -> key:string -> string ->
-  Fbchunk.Cid.t
-(** [put] of [blob t s].  When the branch head is a Blob, only the leaves
-    around the bytes that differ from it are re-chunked; the tree, and so
-    the uid, are the same either way. *)
+  ?branch:string -> ?context:string -> t -> key:string -> pos:int -> len:int ->
+  string -> Fbchunk.Cid.t
+(** [put_blob t ~key ~pos ~len s] is [put] of [blob t] of the page
+    [s.[pos .. pos+len)] (a whole string is [~pos:0]).  When the branch
+    head is a Blob, only the leaves around the bytes that differ from it
+    are re-chunked; the tree, and so the uid, are the same either way.
+    Nothing keeps [s] after the call, so it may be a buffer that is
+    overwritten later.
+    @raise Invalid_argument if the range is outside [s]. *)
 
 val put_guarded :
   ?branch:string -> ?context:string -> t -> key:string ->

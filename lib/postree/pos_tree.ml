@@ -50,11 +50,14 @@ module Make (E : ELEM) = struct
   (* ------------------------------------------------------------------ *)
   (* Chunk encodings                                                     *)
 
+  (* The count, then the body, in one allocation of the payload's size. *)
   let encode_leaf_payload ~count body =
-    let payload = Buffer.create (Buffer.length body + 4) in
-    Codec.varint payload count;
-    Buffer.add_buffer payload body;
-    Buffer.contents payload
+    let header = Codec.encode ~size:10 Codec.uint count in
+    let h = String.length header and n = Buffer.length body in
+    let payload = Bytes.create (h + n) in
+    Bytes.blit_string header 0 payload 0 h;
+    Buffer.blit body 0 payload h n;
+    Bytes.unsafe_to_string payload
 
   (* A leaf payload opens with its element count.  Every element encodes
      to at least one byte, so a count beyond the bytes that follow is
@@ -103,12 +106,27 @@ module Make (E : ELEM) = struct
     lb_emit : chunk_ref -> unit;
   }
 
+  (* One leaf body buffer outlives the builders that use it: a builder
+     takes it if it is free (making its own otherwise), and {!lb_finish}
+     puts it back, so a splice does not allocate a fresh one.  Taking
+     empties the slot, so no two live builders share a buffer. *)
+  let spare_body : Buffer.t option Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> None)
+
+  let take_body cfg =
+    match Domain.DLS.get spare_body with
+    | Some body ->
+        Domain.DLS.set spare_body None;
+        Buffer.clear body;
+        body
+    | None -> Buffer.create (cfg.Tree_config.max_leaf_bytes + 64)
+
   let leaf_builder store cfg emit =
     {
       lb_store = store;
       lb_cfg = cfg;
       lb_mask = (1 lsl cfg.Tree_config.leaf_bits) - 1;
-      lb_body = Buffer.create (cfg.Tree_config.max_leaf_bytes + 64);
+      lb_body = take_body cfg;
       lb_roll = Rolling.any cfg.Tree_config.rolling ~window:cfg.Tree_config.window;
       lb_count = 0;
       lb_last_key = "";
@@ -127,6 +145,12 @@ module Make (E : ELEM) = struct
       b.lb_last_key <- "";
       Rolling.any_reset b.lb_roll
     end
+
+  (* Cut the last leaf and give the body buffer back; the builder is not
+     used again. *)
+  let lb_finish b =
+    lb_cut b;
+    Domain.DLS.set spare_body (Some b.lb_body)
 
   (* Add one element; returns [true] when the element closed a chunk.  The
      pattern is checked at every byte position (§4.3.2); when it occurs in
@@ -272,7 +296,7 @@ module Make (E : ELEM) = struct
     let out = ref [] in
     let lb = leaf_builder store cfg (fun r -> out := r :: !out) in
     feed lb;
-    lb_cut lb;
+    lb_finish lb;
     let leaves = leaf_level store (Array.of_list (List.rev !out)) in
     of_levels store cfg (levels_of_leaves store cfg leaves)
 
@@ -558,7 +582,7 @@ module Make (E : ELEM) = struct
         pos := !pos + del)
       edits;
     feed_old_until ~allow_last:true total;
-    lb_cut lb;
+    lb_finish lb;
     (leaf_level t.store (Array.of_list (List.rev !out)), List.rev !anchors)
 
   (* Rebuild one index level given the edits on the level below (entry
@@ -715,7 +739,7 @@ module Make (E : ELEM) = struct
         p := cum.(!j + 1);
         incr j
       done;
-      lb_cut lb;
+      lb_finish lb;
       let fresh = Array.of_list (List.rev !fresh) in
       let kept = n - !j and shift = first + Array.length fresh - !j in
       let leaves = Array.concat [ Array.sub old 0 first; fresh; Array.sub old !j kept ] in

@@ -105,13 +105,24 @@ type journal_hooks = {
 
 let max_fetch_chunks = 512
 
+(* A request as the event loop holds it: decoded, or a page put whose
+   page is still a span of the connection's read buffer.  The span lives
+   only as long as the buffer's bytes do, so nothing may keep it past
+   [handle_incoming]. *)
+type incoming = Request of Wire.request | Page_put of Wire.page_put
+
+let decode_incoming src ~pos ~len =
+  match Wire.decode_page_put src ~pos ~len with
+  | Some put -> Page_put put
+  | None -> Request (Wire.decode_request_sub src ~pos ~len)
+
 (* [checkpoint] is provided when the db is backed by a durable store
    (lib/persist): it runs checkpoint + compaction and returns the
    reclaimed (chunks, bytes).  [journal] makes the server a replication
    source (Pull_journal).  [redirect] puts the server in follower mode:
    write requests are answered with the primary's address instead of
    executing. *)
-let handle ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
+let handle_incoming ?checkpoint ?journal ?redirect ?shard db incoming :
     Wire.response =
   let write k =
     match redirect with
@@ -138,14 +149,20 @@ let handle ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
             Wire.Retry { reason = "shard: key is migrating" }
           else k ()
   in
+  (* The Put case, whichever way the put was decoded: a page goes to
+     [Db.put_blob] as a span, any other value is built first. *)
+  let put key store = owned key @@ fun () -> write @@ fun () -> Wire.Uid (store ()) in
+  let put_page { Wire.key; branch; context; src; pos; len } =
+    put key (fun () -> Db.put_blob ~branch ~context db ~key ~pos ~len src)
+  in
+  match incoming with
+  | Page_put page -> put_page page
+  | Request req ->
   match req with
+  | Wire.Put { key; branch; context; value = Wire.Blob src } ->
+      put_page { key; branch; context; src; pos = 0; len = String.length src }
   | Wire.Put { key; branch; context; value } ->
-      owned key @@ fun () ->
-      write @@ fun () ->
-      Wire.Uid
-        (match value with
-        | Wire.Blob s -> Db.put_blob ~branch ~context db ~key s
-        | value -> Db.put ~branch ~context db ~key (of_wire_value db value))
+      put key (fun () -> Db.put ~branch ~context db ~key (of_wire_value db value))
   | Wire.Get { key; branch } ->
       owned key @@ fun () ->
       of_db_result (fun v -> Wire.Value (to_wire_value v)) (Db.get ~branch db ~key)
@@ -258,6 +275,9 @@ let handle ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
   | Wire.Export_key { key } -> Wire.Branches (Db.list_tagged_branches db ~key)
   | Wire.Quit -> Wire.Ok_unit
 
+let handle ?checkpoint ?journal ?redirect ?shard db req =
+  handle_incoming ?checkpoint ?journal ?redirect ?shard db (Request req)
+
 (* --- the event loop --- *)
 
 type counters = {
@@ -343,10 +363,12 @@ let drain c reason =
 (* Is this request a durable write whose acknowledgement group commit may
    hold back until the batched fsync? *)
 let durable_write = function
-  | Wire.Put _ | Wire.Fork _ | Wire.Merge _
-  | Wire.Push_chunks _ | Wire.Restore_branch _ ->
+  | Page_put _
+  | Request
+      ( Wire.Put _ | Wire.Fork _ | Wire.Merge _ | Wire.Push_chunks _
+      | Wire.Restore_branch _ ) ->
       true
-  | _ -> false
+  | Request _ -> false
 
 (* Per-round I/O bounds: bytes read from one connection per round (no
    client starves the rest), and the largest write small response
@@ -478,9 +500,10 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
   in
   (* Parse the complete frames in [c.rbuf], until the connection's
      unwritten output reaches [out_budget]; the rest wait for a later
-     round.  A request is decoded where it lies: the decoder copies every
-     string it returns, so nothing decoded aliases [rbuf], which later
-     reads overwrite. *)
+     round.  A request is decoded where it lies.  The decoder copies every
+     string it returns, except the page of a page put: that stays a span
+     of [rbuf], which later reads overwrite, so it is handled before the
+     next frame is parsed and nothing keeps it. *)
   let process_frames c =
     let continue = ref true in
     while !continue && (not c.draining) && c.queued < out_budget do
@@ -498,7 +521,7 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
           k.frames_in <- k.frames_in + 1;
           let ack, response =
             match
-              Wire.decode_request_sub (Bytes.unsafe_to_string c.rbuf) ~pos:body ~len:n
+              decode_incoming (Bytes.unsafe_to_string c.rbuf) ~pos:body ~len:n
             with
             | exception Fbutil.Codec.Corrupt msg ->
                 (* The frame boundary held but the body is not a request:
@@ -506,7 +529,7 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
                    answer, then drop the connection. *)
                 drain c Err_close;
                 (false, Wire.Error ("bad request: " ^ msg))
-            | Wire.Quit ->
+            | Request Wire.Quit ->
                 drain c Ok_close;
                 begin_shutdown ();
                 (false, Wire.Ok_unit)
@@ -519,7 +542,7 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
                   && Option.is_none redirect && durable_write req,
                   try
                     with_counters
-                      (handle ?checkpoint ?journal ?redirect ?shard db req)
+                      (handle_incoming ?checkpoint ?journal ?redirect ?shard db req)
                   with e -> Wire.Error (Printexc.to_string e) )
           in
           park_or_respond c ~ack response

@@ -167,7 +167,33 @@ val handle :
   Forkbase.Db.t ->
   Wire.request ->
   Wire.response
-(** The request dispatcher, exposed for tests. *)
+(** The request dispatcher, exposed for tests: {!handle_incoming} of a
+    decoded request. *)
+
+(** A request body as {!serve} decodes it: a page put ([Put] of a [Blob])
+    keeps its page where it lies in the frame, any other request is
+    decoded in full. *)
+type incoming =
+  | Request of Wire.request
+  | Page_put of Wire.page_put
+      (** the page is a span of the frame's buffer: valid only until that
+          buffer is reused, and kept by nothing once handled *)
+
+val decode_incoming : string -> pos:int -> len:int -> incoming
+(** {!Wire.decode_page_put}, or {!Wire.decode_request_sub} when it
+    declines.  @raise Fbutil.Codec.Corrupt on a malformed body. *)
+
+val handle_incoming :
+  ?checkpoint:(unit -> int * int) ->
+  ?journal:journal_hooks ->
+  ?redirect:string * int ->
+  ?shard:shard_role ->
+  Forkbase.Db.t ->
+  incoming ->
+  Wire.response
+(** The dispatcher {!serve} runs.  A page put and a decoded [Put] take
+    the same case: ownership, follower redirect, then [Db.put_blob] of the
+    span. *)
 
 val stats_of_db : Forkbase.Db.t -> Wire.stats
 (** Db-level stats with all connection counters zero; {!serve} fills them

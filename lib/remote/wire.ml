@@ -91,10 +91,19 @@ let shard_map =
     (fun (version, shards, pending) -> { version; shards = Array.of_list shards; pending })
     C.(triple uint (seq (pair str uint)) (seq str))
 
+(* The one request that carries a page, a [Put] of a [Blob], is also
+   decoded without copying its page ([decode_page_put]); it reads the
+   tags and fields the cases below are built from. *)
+let put_tag = 'P'
+let blob_tag = 'b'
+
+(* A put's key, branch and context; its value follows them. *)
+let put_fields = C.(triple str str str)
+
 let value =
   let cases = C.cases "wire value" in
   let str = C.case cases 's' C.str (fun s -> Str s) in
-  let blob = C.case cases 'b' C.str (fun b -> Blob b) in
+  let blob = C.case cases blob_tag C.str (fun b -> Blob b) in
   let list = C.case cases 'l' (C.seq C.str) (fun l -> List l) in
   let map = C.case cases 'm' (C.seq (C.pair C.str C.str)) (fun kvs -> Map kvs) in
   let set = C.case cases 'e' (C.seq C.str) (fun ms -> Set ms) in
@@ -108,7 +117,7 @@ let value =
 let request =
   let cases = C.cases "wire request" in
   let case tag arg inj = C.case cases tag arg inj and const = C.const cases in
-  let put = case 'P' C.(quad str str str value) (fun (key, branch, context, value) ->
+  let put = case put_tag C.(pair put_fields value) (fun ((key, branch, context), value) ->
       Put { key; branch; context; value }) in
   let get = case 'G' C.(pair str str) (fun (key, branch) -> Get { key; branch }) in
   let get_version = case 'V' Cid.codec (fun uid -> Get_version { uid }) in
@@ -132,7 +141,7 @@ let request =
   let export_key = case 'E' C.str (fun key -> Export_key { key }) in
   let quit = const 'Q' Quit in
   C.variant cases (function
-    | Put { key; branch; context; value } -> put (key, branch, context, value)
+    | Put { key; branch; context; value } -> put ((key, branch, context), value)
     | Get { key; branch } -> get (key, branch)
     | Get_version { uid } -> get_version uid
     | Fork { key; from_branch; new_branch } -> fork (key, from_branch, new_branch)
@@ -215,6 +224,28 @@ let decode_shard_map = C.decode shard_map
 let encode_request = C.encode ~size:128 request
 let decode_request = C.decode request
 let decode_request_sub s ~pos ~len = C.decode_sub request s ~pos ~len
+
+type page_put = {
+  key : string;
+  branch : string;
+  context : string;
+  src : string;
+  pos : int;
+  len : int;
+}
+
+let decode_page_put s ~pos ~len =
+  let r = C.sub_reader s ~pos ~len in
+  if C.read_byte r <> put_tag then None
+  else
+    let key, branch, context = C.read put_fields r in
+    if C.read_byte r <> blob_tag then None
+    else begin
+      let pos, len = C.read_span r in
+      C.expect_end r;
+      Some { key; branch; context; src = s; pos; len }
+    end
+
 let encode_response = C.encode ~size:128 response
 let decode_response = C.decode response
 

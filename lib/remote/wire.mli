@@ -159,6 +159,25 @@ val decode_request_sub : string -> pos:int -> len:int -> request
     outside that range (see {!Fbutil.Codec.decode_sub}).  The decoded
     request shares no bytes with [s], so [s] may be reused afterwards. *)
 
+type page_put = {
+  key : string;
+  branch : string;
+  context : string;
+  src : string;
+  pos : int;
+  len : int;  (** the page is [src.[pos .. pos+len)] *)
+}
+(** A [Put] of a [Blob] whose page is left where it lies. *)
+
+val decode_page_put : string -> pos:int -> len:int -> page_put option
+(** [decode_page_put s ~pos ~len] decodes a [Put] of a [Blob] in
+    [s.[pos .. pos+len)] like {!decode_request_sub}, except that the page
+    is not copied: it is returned as a span of [s] ([src == s]), valid
+    only while [s] is.  Any other request is declined with [None], to be
+    decoded by {!decode_request_sub}.  It reads only the tags and fields
+    that decoder reads, so it raises {!Fbutil.Codec.Corrupt} exactly where
+    that decoder does, trailing bytes included. *)
+
 val encode_response : response -> string
 val decode_response : string -> response
 

@@ -40,35 +40,49 @@ let remove t ~pos ~len = splice t ~pos ~del:len ~ins:""
 let overwrite t ~pos s = splice t ~pos ~del:(String.length s) ~ins:s
 
 (* A byte sequence as slices [(src, off, len)] fetched on demand: a blob's
-   leaf payloads (read-cache hits on a served store), or one flat string.
+   leaf payloads (read-cache hits on a served store), or a span of one string.
    [update] and [diff_region] find common prefixes and suffixes over these
    without copying or decoding a blob. *)
 type view = { parts : int; part : int -> string * int * int }
 
 let view t = { parts = T.leaf_count t; part = T.leaf_bytes t }
-let flat s = { parts = 1; part = (fun _ -> (s, 0, String.length s)) }
-
-(* An 8-byte load without a bounds check: [run_equal] checks its ranges
-   once up front, which makes the compare ~2x faster than
-   [String.get_int64_ne]. *)
-external word : string -> int -> int64 = "%caml_string_get64u"
+let flat s ~pos ~len = { parts = 1; part = (fun _ -> (s, pos, len)) }
 
 (* Equal bytes of [a] and [b] running forward from [ai] and [bi], or
-   backward from just before them when [back]; at most [len]. *)
-let run_equal ~back a ai b bi len =
+   backward from just before them when [back]; at most [len].  Both
+   ranges are checked here, once, before any byte is compared. *)
+let checked_run_equal compare ~back a ai b bi len =
   let a0, b0 = if back then (ai - len, bi - len) else (ai, bi) in
-  if a0 < 0 || b0 < 0 || a0 + len > String.length a || b0 + len > String.length b
+  if len < 0 || a0 < 0 || b0 < 0 || a0 + len > String.length a
+     || b0 + len > String.length b
   then invalid_arg "Fblob.run_equal: out of bounds";
-  (* where the [k]th byte (or word) from [i] starts, going [back] or not *)
-  let at i k width = if back then i - k - width else i + k in
-  let k = ref 0 in
-  while !k + 8 <= len && word a (at ai !k 8) = word b (at bi !k 8) do
-    k := !k + 8
-  done;
-  while !k < len && a.[at ai !k 1] = b.[at bi !k 1] do
-    incr k
-  done;
-  !k
+  compare back a ai b bi len
+
+module Reference = struct
+  (* An 8-byte load without a bounds check: the ranges are checked before
+     the loop, which makes it ~2x faster than [String.get_int64_ne]. *)
+  external word : string -> int -> int64 = "%caml_string_get64u"
+
+  let run_equal =
+    checked_run_equal (fun back a ai b bi len ->
+        (* where the [k]th byte (or word) from [i] starts, going [back] or
+           not *)
+        let at i k width = if back then i - k - width else i + k in
+        let k = ref 0 in
+        while !k + 8 <= len && word a (at ai !k 8) = word b (at bi !k 8) do
+          k := !k + 8
+        done;
+        while !k < len && a.[at ai !k 1] = b.[at bi !k 1] do
+          incr k
+        done;
+        !k)
+end
+
+external native_run_equal : bool -> string -> int -> string -> int -> int -> int
+  = "fb_blob_run_equal_byte" "fb_blob_run_equal"
+[@@noalloc]
+
+let run_equal = checked_run_equal native_run_equal
 
 (* Length of the common prefix of two views, or of the common suffix when
    [back]; at most [limit], which neither view may be shorter than. *)
@@ -99,10 +113,14 @@ let affixes a ~alen b ~blen =
   let p = common ~back:false a b ~limit in
   (p, common ~back:true a b ~limit:(limit - p))
 
-let update t s =
-  let len = length t and n = String.length s in
-  let p, q = affixes (view t) ~alen:len (flat s) ~blen:n in
-  splice t ~pos:p ~del:(len - p - q) ~ins:(String.sub s p (n - p - q))
+(* Only the differing middle of [s] is copied: nothing of the span is
+   kept once [update] returns. *)
+let update t ~pos ~len s =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Fblob.update: range outside the string";
+  let old = length t in
+  let p, q = affixes (view t) ~alen:old (flat s ~pos ~len) ~blen:len in
+  splice t ~pos:p ~del:(old - p - q) ~ins:(String.sub s (pos + p) (len - p - q))
 
 let diff_region a b =
   if equal a b then None

@@ -29,15 +29,32 @@ val splice : t -> pos:int -> del:int -> ins:string -> t
 (** Re-chunks only the leaves around the edit (copy-on-write, §4.3); the
     result is the tree {!create} builds for the edited bytes. *)
 
-val update : t -> string -> t
-(** [update base s] is [create] of [s] — the same root and chunk set —
-    built as one {!splice} of the middle that differs from [base], found
-    by comparing [s] with [base]'s leaf payloads. *)
+val update : t -> pos:int -> len:int -> string -> t
+(** [update base ~pos ~len s] is [create] of [s.[pos .. pos+len)] — the
+    same root and chunk set — built as one {!splice} of the middle that
+    differs from [base], found by comparing the span with [base]'s leaf
+    payloads.  Only that middle is copied; nothing keeps [s] after the
+    call, so [s] may be a buffer that is overwritten later.
+    @raise Invalid_argument if the range is outside [s]. *)
 
 val diff_region : t -> t -> ((int * int) * (int * int)) option
 (** [None] when equal, otherwise [Some ((p, len1), (p, len2))]: after the
     longest common prefix [p], the middles left once the longest common
     suffix of the rest is trimmed. *)
+
+val run_equal : back:bool -> string -> int -> string -> int -> int -> int
+(** [run_equal ~back a ai b bi len]: how many bytes of [a] and [b] are
+    equal running forward from [ai] and [bi], or backward from just before
+    them when [back]; at most [len].  The compare behind {!update} and
+    {!diff_region}, run by a C stub ([memcmp] over shrinking blocks).
+    @raise Invalid_argument if a range is outside its string or [len] is
+    negative. *)
+
+module Reference : sig
+  val run_equal : back:bool -> string -> int -> string -> int -> int -> int
+  (** The same compare as an OCaml loop: what the stub is tested
+      against. *)
+end
 
 val chunk_count : t -> int
 val height : t -> int

@@ -38,6 +38,12 @@ let option buf enc = function
 type reader = { src : string; mutable pos : int; stop : int }
 
 let reader ?(pos = 0) src = { src; pos; stop = String.length src }
+
+let sub_reader src ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length src - len then
+    invalid_arg "Codec.sub_reader: range outside the string";
+  { src; pos; stop = pos + len }
+
 let pos r = r.pos
 let at_end r = r.pos >= r.stop
 
@@ -69,16 +75,23 @@ let read_int64_le r =
   done;
   !x
 
-let read_raw r n =
+(* Step over [n] bytes, returning where they start. *)
+let skip r n =
   if n < 0 || n > r.stop - r.pos then
     corrupt "raw read of %d bytes overruns input (pos %d, end %d)" n r.pos r.stop;
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
+  let at = r.pos in
+  r.pos <- at + n;
+  at
+
+let read_raw r n = String.sub r.src (skip r n) n
+
+let read_span r =
+  let n = read_varint r in
+  (skip r n, n)
 
 let read_string r =
-  let n = read_varint r in
-  read_raw r n
+  let pos, n = read_span r in
+  String.sub r.src pos n
 
 let read_bool r =
   match byte r with
@@ -114,10 +127,7 @@ let decode_reader c r =
 
 let decode c s = decode_reader c (reader s)
 
-let decode_sub c s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Codec.decode_sub: range outside the string";
-  decode_reader c { src = s; pos; stop = pos + len }
+let decode_sub c s ~pos ~len = decode_reader c (sub_reader s ~pos ~len)
 
 let uint = { write = varint; read = read_varint }
 let str = { write = string; read = read_string }

@@ -31,11 +31,22 @@ type reader
 (** A cursor over an immutable string ({!reader} reads all of it). *)
 
 val reader : ?pos:int -> string -> reader
+
+val sub_reader : string -> pos:int -> len:int -> reader
+(** A reader over [s.[pos .. pos+len)] only: reading past [pos + len]
+    raises {!Corrupt} even when [s] goes on.
+    @raise Invalid_argument if the range is outside [s]. *)
+
 val pos : reader -> int
 val at_end : reader -> bool
 val read_varint : reader -> int
 val read_int64_le : reader -> int64
 val read_string : reader -> string
+
+val read_span : reader -> int * int
+(** What {!read_string} reads, left in place: [(pos, len)] of its bytes
+    in the reader's source string, with the same bounds check. *)
+
 val read_raw : reader -> int -> string
 val read_byte : reader -> char
 val read_list : reader -> (reader -> 'a) -> 'a list

@@ -36,7 +36,8 @@ let forkbase_client ?(client_cache = 4096) server =
     else counted
   in
   let save ~page ~content =
-    let (_ : Fbchunk.Cid.t) = Db.put_blob db ~key:page content in
+    let (_ : Fbchunk.Cid.t) = Db.put_blob db ~key:page ~pos:0 ~len:(String.length content) content
+    in
     ()
   in
   (* Fetch a version's Blob through the client-side store so transferred

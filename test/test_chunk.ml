@@ -351,6 +351,51 @@ let prop_store_roundtrip =
       let c = Chunk.v tag payload in
       s.Store.get (s.Store.put c) = Some c)
 
+(* [Chunk.cid] hashes the tag byte and the payload as they are; it must
+   equal the digest of the encoded chunk, for payloads that end anywhere
+   in a SHA-256 block. *)
+let all_tags =
+  [ Chunk.Meta; Chunk.UIndex; Chunk.SIndex; Chunk.Blob; Chunk.List; Chunk.Set; Chunk.Map ]
+
+let prop_cid_is_digest_of_encoding =
+  QCheck.Test.make ~name:"cid = digest of the encoding" ~count:300
+    QCheck.(pair (oneofl all_tags) (string_of_size Gen.(int_bound 300)))
+    (fun (tag, payload) ->
+      let c = Chunk.v tag payload in
+      Cid.equal (Chunk.cid c) (Cid.digest (Chunk.encode c)))
+
+(* A chunk put writes its record without encoding it first: the file must
+   be byte for byte the records framed from [Chunk.encode], duplicates
+   skipped, and must reopen to the same chunks. *)
+let test_log_store_records_match_encoding () =
+  with_temp @@ fun path ->
+  let chunks =
+    List.concat_map
+      (fun tag -> List.map (fun n -> Chunk.v tag (String.init n (fun i -> Char.chr (i * 7 land 0xff))))
+          [ 0; 1; 127; 128; 5000 ])
+      all_tags
+  in
+  let log = Log_store.open_ path in
+  let s = Log_store.store log in
+  let cids = List.map s.Store.put (chunks @ chunks) in
+  Log_store.close log;
+  let expected = Buffer.create 65536 in
+  List.iter
+    (fun c ->
+      let e = Chunk.encode c in
+      Fbutil.Codec.varint expected (String.length e);
+      Buffer.add_string expected e)
+    chunks;
+  Alcotest.(check string) "file = records framed from Chunk.encode"
+    (String.escaped (Buffer.contents expected))
+    (String.escaped (In_channel.with_open_bin path In_channel.input_all));
+  let log2 = Log_store.open_ path in
+  let s2 = Log_store.store log2 in
+  List.iter2
+    (fun c cid -> Alcotest.(check bool) "reopened chunk" true (s2.Store.get cid = Some c))
+    (chunks @ chunks) cids;
+  Log_store.close log2
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "chunk"
@@ -363,6 +408,7 @@ let () =
           Alcotest.test_case "chunk encoding" `Quick test_chunk_encoding;
           Alcotest.test_case "tag in cid" `Quick test_tag_distinguishes_cids;
           q prop_store_roundtrip;
+          q prop_cid_is_digest_of_encoding;
         ] );
       ( "wrappers",
         [
@@ -375,6 +421,8 @@ let () =
       ( "log-store",
         [
           Alcotest.test_case "roundtrip" `Quick test_log_store_roundtrip;
+          Alcotest.test_case "records match the encoding" `Quick
+            test_log_store_records_match_encoding;
           Alcotest.test_case "dedup across sessions" `Quick
             test_log_store_dedup_across_sessions;
           Alcotest.test_case "torn tail recovery" `Quick test_log_store_torn_tail;

@@ -35,14 +35,14 @@ let test_put_blob_head_elsewhere () =
   let page = String.init 20_000 (fun i -> Char.chr (97 + (i * 7 mod 26))) in
   let edited = String.sub page 0 5000 ^ "EDIT" ^ String.sub page 5004 14_996 in
   let full = fresh () in
-  let head = Db.put_blob full ~key:"p" page in
-  let spliced = Db.put_blob full ~key:"p" edited in
+  let head = Db.put_blob full ~key:"p" ~pos:0 ~len:(String.length page) page in
+  let spliced = Db.put_blob full ~key:"p" ~pos:0 ~len:(String.length edited) edited in
   let meta_only = Store.mem_store () in
   let (_ : Cid.t) = meta_only.Store.put (Store.get_exn (Db.store full) head) in
   let db = Db.create meta_only in
   ok (Db.restore_branch db ~key:"p" ~branch:Db.default_branch head);
   Alcotest.(check string) "same uid" (Cid.to_hex spliced)
-    (Cid.to_hex (Db.put_blob db ~key:"p" edited))
+    (Cid.to_hex (Db.put_blob db ~key:"p" ~pos:0 ~len:(String.length edited) edited))
 
 let test_put_get () =
   let db = fresh () in

@@ -138,6 +138,45 @@ let prop_decode_request_sub =
       | exception Fbutil.Codec.Corrupt _ -> true
       | (_ : Wire.request) -> false)
 
+(* The page-put decoder agrees with the full decoder.  For a [Put] of a
+   [Blob] between random bytes it returns the same key, branch and context
+   and a span of the very buffer holding the page; cut short by one byte,
+   or with one trailing byte, both decoders raise [Corrupt] although the
+   bytes around the range would complete the body.  Every other request
+   is declined. *)
+let prop_decode_page_put =
+  let page_put =
+    QCheck.Gen.(
+      map2
+        (fun (key, branch, context) page ->
+          Wire.Put { key; branch; context; value = Wire.Blob page })
+        (triple string string string) string)
+  in
+  QCheck.Test.make ~name:"decode_page_put agrees with decode_request_sub" ~count:500
+    (QCheck.make QCheck.Gen.(quad (frequency [ (1, page_put); (1, gen_request) ])
+                               string char string))
+    (fun (req, before, trailing, after) ->
+      let body = Wire.encode_request req in
+      let s = before ^ body ^ String.make 1 trailing ^ after in
+      let pos = String.length before and len = String.length body in
+      let corrupt decode len =
+        match decode s ~pos ~len with
+        | exception Fbutil.Codec.Corrupt _ -> true
+        | _ -> false
+      in
+      match (Wire.decode_page_put s ~pos ~len, Wire.decode_request_sub s ~pos ~len) with
+      | Some p, Wire.Put { key; branch; context; value = Wire.Blob page } ->
+          p.Wire.key = key && p.branch = branch && p.context = context
+          && p.src == s
+          && String.sub s p.pos p.len = page
+          && corrupt Wire.decode_page_put (len - 1)
+          && corrupt Wire.decode_request_sub (len - 1)
+          && corrupt Wire.decode_page_put (len + 1)
+          && corrupt Wire.decode_request_sub (len + 1)
+      | Some _, _ -> false
+      | None, Wire.Put { value = Wire.Blob _; _ } -> false
+      | None, _ -> true)
+
 (* The server's one-copy frame is byte for byte the two-step encoding.
    One buffer serves every case, as it serves every response: a page-sized
    answer, then a small one, must leave nothing of the first behind. *)
@@ -734,6 +773,49 @@ let put_of_size key size =
   let rec exact pad = if body_size pad = size then pad else exact (pad + size - body_size pad) in
   Wire.Str (String.make (exact 0) 'z')
 
+(* A page put's page is a span of the connection's read buffer, which
+   later reads overwrite, so whatever the put stores must be its own copy.
+   One write carries different pages for one key (the first has no head
+   and is built from scratch, the others are spliced), a Blob onto a key
+   whose head is a [Str], and a page longer than the server's 64 KiB read
+   room, whose span is assembled across reads.  A second such write on
+   the same connection lands over the first in the read buffer.  Every
+   acked version reads back as the page that was sent. *)
+let test_page_puts_keep_no_read_buffer () =
+  with_group_commit_server @@ fun port ->
+  let c = Client.connect ~retries:20 ~port () in
+  let (_ : Cid.t) = Client.put c ~key:"note" (Wire.Str "short") in
+  let page seed size = Workload.Text_edit.initial_page ~seed:(Int64.of_int seed) ~size in
+  let batch r =
+    let base = page (20 + r) 65536 in
+    let edit at fill =
+      Workload.Text_edit.apply base (Workload.Text_edit.Overwrite (at, String.make 64 fill))
+    in
+    [ ("doc", base); ("doc", edit 100 'a'); ("note", page (30 + r) 30_000);
+      ("doc", edit 40_000 'b'); ("doc", page (40 + r) 150_000); ("doc", edit 65_000 'c');
+      ("note", page (50 + r) 20_000); ("doc", base) ]
+  in
+  let fd = raw_connect port in
+  let sent = batch 0 @ batch 1 in
+  let answers =
+    List.concat_map
+      (fun puts -> pipeline fd (List.map (fun (key, p) -> put_req key (Wire.Blob p)) puts))
+      [ batch 0; batch 1 ]
+  in
+  Unix.close fd;
+  List.iteri
+    (fun i ((key, page), answer) ->
+      let name = Printf.sprintf "put %d of %s" i key in
+      match answer with
+      | Wire.Uid uid -> (
+          match Client.get_version c uid with
+          | Wire.Blob got -> Alcotest.(check bool) (name ^ " reads back") true (got = page)
+          | _ -> Alcotest.fail (name ^ ": not a blob"))
+      | _ -> Alcotest.fail (name ^ ": not answered by a uid"))
+    (List.combine sent answers);
+  Client.quit_server c;
+  Client.close c
+
 (* 32 page puts (~66 KB frames) written back to back: the server drains
    the socket each round, so several complete puts share one fsync.
    Reading at most 64 KiB a round, no two of them ever could. *)
@@ -801,13 +883,17 @@ let test_frames_split_anywhere () =
     ignore (Unix.write_substring fd bytes at (String.length bytes - at))
   in
   let value i = Wire.Str (Printf.sprintf "v%03d" i) in
-  let small i = frames [ put_req "s" (value i); get_req "s"; get_req "s" ] in
+  let page i = Wire.Blob (Printf.sprintf "page %03d " i ^ String.make 40 'p') in
+  let small i =
+    frames [ put_req "s" (value i); put_req "b" (page i); get_req "s"; get_req "b"; get_req "s" ]
+  in
   let len = String.length (String.concat "" (small 0)) in
   for at = 0 to len do
     send_split (String.concat "" (small at)) at;
-    match read_answers fd 3 with
-    | [ Wire.Uid _; a; b ] ->
+    match read_answers fd 5 with
+    | [ Wire.Uid _; Wire.Uid _; a; p; b ] ->
         check_value (Printf.sprintf "split at %d: first get" at) (value at) a;
+        check_value (Printf.sprintf "split at %d: page get" at) (page at) p;
         check_value (Printf.sprintf "split at %d: second get" at) (value at) b
     | _ -> Alcotest.fail (Printf.sprintf "split at %d: answers out of order" at)
   done;
@@ -1064,6 +1150,7 @@ let () =
           q prop_response_roundtrip;
           q prop_response_frame;
           q prop_decode_request_sub;
+          q prop_decode_page_put;
           Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
           q prop_journal_roundtrip;
           q prop_decoders_total;
@@ -1097,6 +1184,8 @@ let () =
             test_blob_put_splices_head;
           Alcotest.test_case "pipelined page puts share a group commit" `Quick
             test_pipelined_puts_share_group_commit;
+          Alcotest.test_case "page puts keep nothing of the read buffer" `Quick
+            test_page_puts_keep_no_read_buffer;
           Alcotest.test_case "max-size frame among neighbours" `Quick
             test_max_size_frame_among_neighbours;
           Alcotest.test_case "frames split at any offset" `Quick

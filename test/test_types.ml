@@ -233,7 +233,7 @@ let prop_differential ((cfg : Fbtree.Tree_config.t), page, script) =
       let n = String.length !current in
       current := String.sub !current 0 pos ^ ins ^ String.sub !current (pos + del) (n - pos - del);
       spliced := Fblob.splice !spliced ~pos ~del ~ins;
-      updated := Fblob.update !updated !current;
+      updated := Fblob.update !updated ~pos:0 ~len:(String.length !current) !current;
       let created = Fblob.create s_create cfg !current in
       Fblob.equal !spliced created && Fblob.equal !updated created
       && Fbchunk.Cid.Set.equal (chunks s_splice !spliced)
@@ -547,6 +547,52 @@ let test_containers_leave_no_garbage () =
   Alcotest.(check (pair int int)) "garbage (chunks, bytes)" (0, 0)
     (Forkbase.Gc.garbage_stats db)
 
+(* The C compare behind [Fblob.update] against its OCaml reference, both
+   ways, over equal runs whose lengths and offsets are never multiples of
+   8 (nor of 4096), so every block size and the byte tail are exercised.
+   One mismatch is planted at every position of a small range, which
+   lands it in each block size's scan; the run must stop exactly there. *)
+let qcheck_run_equal_stub =
+  let odd n = if n mod 8 = 0 then n + 1 else n in
+  QCheck.Test.make ~name:"run_equal: stub = reference" ~count:100
+    QCheck.(quad (int_range 1 9000) (int_range 0 300) (int_range 0 300) (int_range 0 8999))
+    (fun (len, ai, bi, at) ->
+      let len = odd len and ai = odd ai and bi = odd bi in
+      let run = String.init len (fun i -> Char.chr ((i * 31 + i / 7) land 0xff)) in
+      let a = String.make ai 'a' ^ run ^ "tail-a" and b = String.make bi 'b' ^ run ^ "tail-b" in
+      let agree ~back a ai b bi expected =
+        let got = Fblob.run_equal ~back a ai b bi len in
+        got = Fblob.Reference.run_equal ~back a ai b bi len && got = expected
+      in
+      let agree_both b expected_fwd expected_back =
+        agree ~back:false a ai b bi expected_fwd
+        && agree ~back:true a (ai + len) b (bi + len) expected_back
+      in
+      let first = at mod len in
+      agree_both b len len
+      && List.for_all
+           (fun k ->
+             k >= len
+             ||
+             let b' =
+               String.mapi (fun i c -> if i = bi + k then Char.chr (Char.code c lxor 0x5a) else c) b
+             in
+             agree_both b' k (len - 1 - k))
+           (List.init 20 (fun d -> first + d)))
+
+let test_run_equal_bounds () =
+  let s = String.make 100 'x' in
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | (_ : int) -> Alcotest.fail (name ^ ": no Invalid_argument")
+  in
+  raises "forward past the end" (fun () -> Fblob.run_equal ~back:false s 50 s 0 51);
+  raises "backward before the start" (fun () -> Fblob.run_equal ~back:true s 10 s 100 11);
+  raises "negative offset" (fun () -> Fblob.run_equal ~back:false s (-1) s 0 1);
+  raises "negative length" (fun () -> Fblob.run_equal ~back:false s 0 s 0 (-1));
+  Alcotest.(check int) "the whole string" 100 (Fblob.run_equal ~back:true s 100 s 100 100)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "types"
@@ -561,6 +607,8 @@ let () =
           q qcheck_blob_splice;
           q qcheck_blob_diff_region;
           q qcheck_blob_differential;
+          q qcheck_run_equal_stub;
+          Alcotest.test_case "run_equal bounds" `Quick test_run_equal_bounds;
           Alcotest.test_case "splice at the re-roll window's edges" `Quick
             test_blob_splice_window_edges;
           Alcotest.test_case "version dedup" `Quick test_blob_dedup_versions;
